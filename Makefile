@@ -4,7 +4,7 @@
 # written and parses.
 
 .PHONY: all build test fmt lint baseline-update check smoke fuzz-smoke mc-smoke \
-	bench-smoke bench-scale bench-diff trace-smoke clean
+	bench-smoke bench-scale bench-diff trace-smoke perf-smoke clean
 
 # Worker count for the parallel targets below. Results are byte-identical
 # for any J (see DESIGN.md, "Parallel execution & determinism contract"),
@@ -103,6 +103,22 @@ trace-smoke: build
 	dune exec bin/dinersim.exe -- dining --seed 41 --horizon 3000 \
 		--trace-out /tmp/dinersim-trace-smoke.jsonl > /dev/null
 	dune exec bin/dinersim.exe -- trace /tmp/dinersim-trace-smoke.jsonl
+
+# One untimed pass over each workload of the repo benchmark (BENCHMARK.json,
+# perfbench/): --seconds 0 runs a single repetition and --trace 0 skips the
+# per-layer run. Each workload checks its own outputs; fails unless the
+# last line of every run reports "correct": true.
+PERF_WORKLOADS = dining-long scale-ring mc-check
+
+perf-smoke: build
+	@for w in $(PERF_WORKLOADS); do \
+		echo "perf-smoke: $$w"; \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 0 --trace 0 \
+			> _build/perf-smoke-$$w.txt || exit 1; \
+		tail -n 1 _build/perf-smoke-$$w.txt | python3 -c \
+			'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' \
+			|| { cat _build/perf-smoke-$$w.txt; echo "perf-smoke: $$w is not correct"; exit 1; }; \
+	done
 
 check: fmt build test lint smoke fuzz-smoke mc-smoke trace-smoke
 	@echo "check: OK"

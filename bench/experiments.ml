@@ -392,12 +392,10 @@ let k1 () =
       (match crash with Some at -> Engine.schedule_crash engine 2 ~at | None -> ());
       Engine.run engine ~until:30000;
       let trace = Engine.trace engine in
-      let k = Dining.Monitor.max_overtaking trace ~instance:"kf" ~graph ~after:15000 ~horizon:30000 in
-      let wf = Dining.Monitor.wait_freedom trace ~instance:"kf" ~n ~horizon:30000 ~slack:6000 in
-      let wx =
-        Dining.Monitor.eventual_weak_exclusion trace ~instance:"kf" ~graph ~horizon:30000
-          ~suffix_from:15000
-      in
+      let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"kf") ~horizon:30000 in
+      let k = Dining.Monitor.Run.max_overtaking r ~graph ~after:15000 in
+      let wf = Dining.Monitor.Run.wait_freedom r ~n ~slack:6000 in
+      let wx = Dining.Monitor.Run.eventual_weak_exclusion r ~graph ~suffix_from:15000 in
       rows :=
         [
           label;
@@ -686,16 +684,11 @@ let fl () =
     Engine.schedule_crash engine 0 ~at:1000;
     Engine.run engine ~until:horizon;
     let trace = Engine.trace engine in
-    let violations =
-      List.length (Dining.Monitor.exclusion_violations trace ~instance:"d" ~graph ~horizon)
-    in
-    let last_violation =
-      Dining.Monitor.last_violation_time trace ~instance:"d" ~graph ~horizon
-    in
-    let loc =
-      Dining.Monitor.failure_locality trace ~instance:"d" ~graph ~horizon ~slack:4000
-    in
-    let starved = Dining.Monitor.starved trace ~instance:"d" ~n ~horizon ~slack:4000 in
+    let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"d") ~horizon in
+    let violations = List.length (Dining.Monitor.Run.exclusion_violations r ~graph) in
+    let last_violation = Dining.Monitor.Run.last_violation_time r ~graph in
+    let loc = Dining.Monitor.Run.failure_locality r ~graph ~slack:4000 in
+    let starved = Dining.Monitor.Run.starved r ~n ~slack:4000 in
     [
       label;
       (if violations = 0 then "perpetual"
@@ -829,6 +822,46 @@ let c1 () =
   print_endline
     "  Shape: the oracle the reduction squeezes out of a dining black box is a\n\
     \  drop-in replacement for a native ◇P in Chandra-Toueg consensus."
+
+(* ------------------------------------------------------------------ *)
+(* D200K — a long `dinersim dining` run, property checks included: the
+   checks read one pass over the 200k-tick trace, so they cost about as
+   much as recording it. *)
+
+let dining200k () =
+  Util.section "D200K  wf-◇wx, ring of 5, 200k ticks, every dining check";
+  let horizon = 200_000 in
+  let graph = Graphs.Conflict_graph.ring ~n:5 in
+  let run =
+    Core.Scenario.wf_dining ~seed:1L ~adversary:(Adversary.partial_sync ~gst:500 ()) ~graph ()
+  in
+  let engine = run.Core.Scenario.engine in
+  Engine.run engine ~until:horizon;
+  let trace = Engine.trace engine in
+  let n = Graphs.Conflict_graph.n graph in
+  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"dx") ~horizon in
+  let module R = Dining.Monitor.Run in
+  let meals = List.init n (fun pid -> R.eat_count r ~pid) in
+  Util.table
+    ~header:
+      [
+        "trace entries"; "meals"; "violations"; "wait-free"; "eventual WX from h/2";
+        "overtaking"; "locality"; "fairness";
+      ]
+    [
+      [
+        string_of_int (Trace.length trace);
+        string_of_int (List.fold_left ( + ) 0 meals);
+        string_of_int (List.length (R.exclusion_violations r ~graph));
+        Util.yes_no (holds (R.wait_freedom r ~n ~slack:(horizon / 5)));
+        Util.yes_no (holds (R.eventual_weak_exclusion r ~graph ~suffix_from:(horizon / 2)));
+        string_of_int (R.max_overtaking r ~graph ~after:(horizon / 2));
+        (match R.failure_locality r ~graph ~slack:(horizon / 5) with
+        | Some l -> string_of_int l
+        | None -> "unbounded");
+        Printf.sprintf "%.2f" (R.fairness_index r ~pids:(List.init n Fun.id));
+      ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* SC — engine scaling curve: the ROADMAP's million-philosopher target. *)

@@ -34,6 +34,7 @@ let registry =
     ("c1", "intro claim: extracted ◇P solves consensus", Experiments.c1);
     ("sweep", "multi-seed statistical sweep of the theorems", Experiments.sweep);
     ("m1", "engineering: message cost", Experiments.m1);
+    ("dining200k", "end to end: wf ring of 5, 200k ticks, checks included", Experiments.dining200k);
     ("scale2", "engine scaling curve: n = 10^2 ring", Experiments.scale2);
     ("scale3", "engine scaling curve: n = 10^3 ring", Experiments.scale3);
     ("scale4", "engine scaling curve: n = 10^4 ring", Experiments.scale4);

@@ -48,9 +48,11 @@ let bench_trace_scan () =
   Engine.run run.Core.Scenario.engine ~until:5000;
   let trace = Engine.trace run.Core.Scenario.engine in
   let graph = run.Core.Scenario.graph in
-  Test.make ~name:"monitor exclusion-scan 5k ticks"
+  (* The whole checking pass: fold the trace, then sweep for overlaps. *)
+  Test.make ~name:"monitor exclusion-pass 5k ticks"
     (Staged.stage (fun () ->
-         ignore (Dining.Monitor.exclusion_violations trace ~instance:"dx" ~graph ~horizon:5000)))
+         let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"dx") ~horizon:5000 in
+         ignore (Dining.Monitor.Run.exclusion_violations r ~graph)))
 
 let bench_deliver_backlog () =
   (* Regression bench for the deliver_ripe rewrite: with a wide delay

@@ -387,31 +387,27 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
     n
     (List.length (Graphs.Conflict_graph.edges graph))
     adversary.Adversary.name horizon;
+  let module R = Dining.Monitor.Run in
+  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance) ~horizon in
   for pid = 0 to n - 1 do
-    Printf.printf "  p%d: %d meals%s\n" pid
-      (Dining.Monitor.eat_count trace ~instance ~pid)
+    Printf.printf "  p%d: %d meals%s\n" pid (R.eat_count r ~pid)
       (if Engine.is_live engine pid then "" else " (crashed)")
   done;
-  let violations = Dining.Monitor.exclusion_violations trace ~instance ~graph ~horizon in
-  Printf.printf "exclusion violations: %d%s\n" (List.length violations)
-    (match Dining.Monitor.last_violation_time trace ~instance ~graph ~horizon with
+  Printf.printf "exclusion violations: %d%s\n"
+    (List.length (R.exclusion_violations r ~graph))
+    (match R.last_violation_time r ~graph with
     | Some t -> Printf.sprintf " (last at t=%d)" t
     | None -> "");
-  let wf = Dining.Monitor.wait_freedom trace ~instance ~n ~horizon ~slack:(horizon / 5) in
+  let wf = R.wait_freedom r ~n ~slack:(horizon / 5) in
   Format.printf "wait-freedom: %a@." Detectors.Properties.pp_verdict wf;
   Printf.printf "max suffix overtaking (after t=%d): %d\n" (horizon / 2)
-    (Dining.Monitor.max_overtaking trace ~instance ~graph ~after:(horizon / 2) ~horizon);
+    (R.max_overtaking r ~graph ~after:(horizon / 2));
   Printf.printf "crash locality: %s; fairness index: %.2f\n"
-    (match
-       Dining.Monitor.failure_locality trace ~instance ~graph ~horizon ~slack:(horizon / 5)
-     with
+    (match R.failure_locality r ~graph ~slack:(horizon / 5) with
     | Some l -> string_of_int l
     | None -> "unbounded")
-    (Dining.Monitor.fairness_index trace ~instance ~pids:(List.init n Fun.id));
-  let wx =
-    Dining.Monitor.eventual_weak_exclusion trace ~instance ~graph ~horizon
-      ~suffix_from:(horizon / 2)
-  in
+    (R.fairness_index r ~pids:(List.init n Fun.id));
+  let wx = R.eventual_weak_exclusion r ~graph ~suffix_from:(horizon / 2) in
   obs_finish obs ~cmd:"dining" ~seed ~horizon
     ~config:
       [

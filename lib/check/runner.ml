@@ -110,15 +110,15 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
   Option.iter Obs.Instrument.finalize inst;
   let trace = Engine.trace engine in
   let horizon = c.Config.horizon in
+  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance) ~horizon in
   let checks =
     [
       Obs.Report.of_verdict "wait_freedom"
-        (Dining.Monitor.wait_freedom trace ~instance ~n ~horizon ~slack:(horizon / 3));
+        (Dining.Monitor.Run.wait_freedom r ~n ~slack:(horizon / 3));
       Obs.Report.of_verdict "eventual_weak_exclusion"
-        (Dining.Monitor.eventual_weak_exclusion trace ~instance ~graph ~horizon
-           ~suffix_from:(horizon / 2));
+        (Dining.Monitor.Run.eventual_weak_exclusion r ~graph ~suffix_from:(horizon / 2));
       Obs.Report.of_verdict "exiting_finite"
-        (Dining.Monitor.exiting_finite trace ~instance ~n ~horizon ~slack:(horizon / 3));
+        (Dining.Monitor.Run.exiting_finite r ~n ~slack:(horizon / 3));
     ]
   in
   let failed =
@@ -127,8 +127,7 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
       checks
   in
   let meals =
-    List.init n (fun pid -> Dining.Monitor.eat_count trace ~instance ~pid)
-    |> List.fold_left ( + ) 0
+    List.init n (fun pid -> Dining.Monitor.Run.eat_count r ~pid) |> List.fold_left ( + ) 0
   in
   ( {
       checks;

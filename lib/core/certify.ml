@@ -98,17 +98,11 @@ let box_checks candidate ~seed ~horizon =
   Engine.schedule_crash engine 1 ~at:(horizon / 4);
   Engine.run engine ~until:horizon;
   let trace = Engine.trace engine in
-  let wf =
-    Dining.Monitor.wait_freedom trace ~instance:"cert" ~n:2 ~horizon ~slack:(horizon / 4)
-  in
-  let wx =
-    Dining.Monitor.eventual_weak_exclusion trace ~instance:"cert" ~graph ~horizon
-      ~suffix_from:(horizon / 2)
-  in
-  let meals = Dining.Monitor.eat_count trace ~instance:"cert" ~pid:0 in
-  let ex =
-    Dining.Monitor.exiting_finite trace ~instance:"cert" ~n:2 ~horizon ~slack:(horizon / 4)
-  in
+  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"cert") ~horizon in
+  let wf = Dining.Monitor.Run.wait_freedom r ~n:2 ~slack:(horizon / 4) in
+  let wx = Dining.Monitor.Run.eventual_weak_exclusion r ~graph ~suffix_from:(horizon / 2) in
+  let meals = Dining.Monitor.Run.eat_count r ~pid:0 in
+  let ex = Dining.Monitor.Run.exiting_finite r ~n:2 ~slack:(horizon / 4) in
   [
     {
       label = Printf.sprintf "exiting is finite (seed %Ld)" seed;

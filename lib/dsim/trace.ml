@@ -72,31 +72,86 @@ let crash_times t =
       | _ -> ());
   !m
 
-let transitions ?instance ?pid t =
-  filter t (fun e ->
-      match e.ev with
-      | Transition tr ->
-          (match instance with Some i -> String.equal i tr.instance | None -> true)
-          && (match pid with Some p -> p = tr.pid | None -> true)
-      | _ -> false)
+module Phases = struct
+  (* Each transition is one int, [time * 4 + phase code]: half the memory
+     of two parallel arrays, and no pointers for the GC to scan. *)
+  let code = function
+    | Types.Thinking -> 0
+    | Types.Hungry -> 1
+    | Types.Eating -> 2
+    | Types.Exiting -> 3
+
+  let phase_of_code = [| Types.Thinking; Types.Hungry; Types.Eating; Types.Exiting |]
+
+  (* [crashed] is the pid's first crash time, or -1. *)
+  type log = { mutable buf : int array; mutable len : int; mutable crashed : Types.time }
+  type t = { instance : string; mutable logs : log array (* indexed by pid *) }
+
+  let create ~instance = { instance; logs = [||] }
+  let instance t = t.instance
+
+  let log t pid =
+    let old = Array.length t.logs in
+    if pid >= old then
+      t.logs <-
+        Array.init (max (pid + 1) (2 * old)) (fun i ->
+            if i < old then t.logs.(i) else { buf = [||]; len = 0; crashed = -1 });
+    t.logs.(pid)
+
+  let observe t e =
+    match e.ev with
+    | Transition tr when tr.pid >= 0 && String.equal tr.instance t.instance ->
+        let l = log t tr.pid in
+        if l.len = Array.length l.buf then begin
+          let buf = Array.make (max 16 (2 * l.len)) 0 in
+          Array.blit l.buf 0 buf 0 l.len;
+          l.buf <- buf
+        end;
+        l.buf.(l.len) <- (e.at * 4) + code tr.to_;
+        l.len <- l.len + 1
+    | Crash { pid } when pid >= 0 ->
+        let l = log t pid in
+        if l.crashed < 0 then l.crashed <- e.at
+    | _ -> ()
+
+  let of_trace trace ~instance =
+    let t = create ~instance in
+    iter trace (observe t);
+    t
+
+  let crash_time t pid =
+    if pid >= 0 && pid < Array.length t.logs && t.logs.(pid).crashed >= 0 then
+      Some t.logs.(pid).crashed
+    else None
+
+  let iter t ~pid f =
+    if pid >= 0 && pid < Array.length t.logs then begin
+      let l = t.logs.(pid) in
+      for k = 0 to l.len - 1 do
+        f (l.buf.(k) asr 2) phase_of_code.(l.buf.(k) land 3)
+      done
+    end
+
+  let fold_timeline t ~pid ~horizon f init =
+    let acc = ref init and current = ref Types.Thinking and since = ref 0 in
+    iter t ~pid (fun at to_ ->
+        if at > !since then acc := f !acc !since at !current;
+        current := to_;
+        since := at);
+    if !since < horizon then f !acc !since horizon !current else !acc
+end
 
 let phase_timeline t ~instance ~pid ~horizon =
-  let trs = transitions ~instance ~pid t in
-  let rec go current since = function
-    | [] -> if since >= horizon then [] else [ (since, horizon, current) ]
-    | e :: rest -> (
-        match e.ev with
-        | Transition tr ->
-            let seg = if e.at > since then [ (since, e.at, current) ] else [] in
-            seg @ go tr.to_ e.at rest
-        | _ -> go current since rest)
-  in
-  go Types.Thinking 0 trs
+  Phases.fold_timeline (Phases.of_trace t ~instance) ~pid ~horizon
+    (fun acc a b ph -> (a, b, ph) :: acc)
+    []
+  |> List.rev
 
 let eating_intervals t ~instance ~pid ~horizon =
-  phase_timeline t ~instance ~pid ~horizon
-  |> List.filter_map (fun (a, b, ph) ->
-         if Types.phase_equal ph Types.Eating then Some (a, b) else None)
+  Phases.fold_timeline (Phases.of_trace t ~instance) ~pid ~horizon
+    (fun acc a b ph -> if Types.phase_equal ph Types.Eating then (a, b) :: acc else acc)
+    []
+  |> List.rev
 
 let suspicion_flips t ~detector ~owner ~target =
   filter t (fun e ->

@@ -46,8 +46,35 @@ val filter : t -> (entry -> bool) -> entry list
 val crash_times : t -> Types.time Types.Pidmap.t
 (** First crash time of each crashed process. *)
 
-val transitions : ?instance:string -> ?pid:Types.pid -> t -> entry list
-(** Phase transitions, optionally restricted to one instance and/or diner. *)
+(** Per-diner phase history of one dining instance, and each process's
+    first crash time, collected in a single pass: entries are fed one at a
+    time, either from a recorded trace or live through {!subscribe}. State
+    is kept in arrays indexed by pid. *)
+module Phases : sig
+  type trace := t
+  type t
+
+  val create : instance:string -> t
+  val instance : t -> string
+
+  val observe : t -> entry -> unit
+  (** Record the entry if it is a [Transition] of this instance (one
+      string comparison) or a [Crash]; ignore it otherwise. *)
+
+  val of_trace : trace -> instance:string -> t
+  (** Observe every entry of a recorded trace. *)
+
+  val crash_time : t -> Types.pid -> Types.time option
+  (** First crash of the process. *)
+
+  val iter : t -> pid:Types.pid -> (Types.time -> Types.phase -> unit) -> unit
+  (** The diner's transitions in append order, as (time, phase entered). *)
+
+  val fold_timeline :
+    t -> pid:Types.pid -> horizon:Types.time
+    -> ('a -> Types.time -> Types.time -> Types.phase -> 'a) -> 'a -> 'a
+  (** Fold over the segments of {!phase_timeline}, in order. *)
+end
 
 val eating_intervals :
   t -> instance:string -> pid:Types.pid -> horizon:Types.time -> (Types.time * Types.time) list
@@ -58,7 +85,8 @@ val phase_timeline :
   t -> instance:string -> pid:Types.pid -> horizon:Types.time
   -> (Types.time * Types.time * Types.phase) list
 (** Piecewise-constant phase history [(from, to_exclusive, phase)] covering
-    [0, horizon); diners start [Thinking]. *)
+    [0, horizon); diners start [Thinking]. Zero-length segments are
+    dropped. Both views build a {!Phases} pass over the whole trace. *)
 
 val suspicion_flips :
   t -> detector:string -> owner:Types.pid -> target:Types.pid

@@ -140,20 +140,6 @@ let online_reports o =
 (* ------------------------------------------------------------------ *)
 (* Post-hoc schedule lemmas *)
 
-let eating_starts trace ~instance ~pid =
-  Trace.transitions ~instance ~pid trace
-  |> List.filter_map (fun (e : Trace.entry) ->
-         match e.ev with
-         | Trace.Transition { to_ = Types.Eating; _ } -> Some e.at
-         | _ -> None)
-
-let note_times trace ~pid ~label ~info =
-  Trace.notes ~pid ~label trace
-  |> List.filter_map (fun (e : Trace.entry) ->
-         match e.ev with
-         | Trace.Note n when String.equal n.info info -> Some e.at
-         | _ -> None)
-
 let trace_reports ~engine ~pair =
   let trace = Engine.trace engine in
   let horizon = Engine.now engine in
@@ -162,34 +148,52 @@ let trace_reports ~engine ~pair =
     Engine.is_live engine pair.Pair.watcher && Engine.is_live engine pair.Pair.subject
   in
   let watcher_correct = Engine.is_live engine pair.Pair.watcher in
+  (* One pass: both instances' phase histories and the subject's ping/ack
+     notes of each instance. *)
+  let folds = Array.map (fun instance -> Trace.Phases.create ~instance) pair.Pair.dx_instances in
+  let tags = Array.init 2 (fun i -> Printf.sprintf "%s:%d" pair.Pair.subject_tag i) in
+  let pings = Array.make 2 [] and acks = Array.make 2 [] in
+  Trace.iter trace (fun e ->
+      Array.iter (fun f -> Trace.Phases.observe f e) folds;
+      match e.Trace.ev with
+      | Trace.Note { pid; label; info } when pid = pair.Pair.subject ->
+          for i = 0 to 1 do
+            if String.equal info tags.(i) then
+              if String.equal label "red-ping" then pings.(i) <- e.Trace.at :: pings.(i)
+              else if String.equal label "red-ack" then acks.(i) <- e.Trace.at :: acks.(i)
+          done
+      | _ -> ());
+  let runs = Array.map (fun f -> Dining.Monitor.finish f ~horizon) folds in
+  let times l = Array.of_list (List.rev l) in
   (* Lemma 5: one ping and one ack per completed subject eating session. *)
   let l5_violations = ref [] in
   if both_correct then
     for i = 0 to 1 do
       let sessions =
-        Trace.eating_intervals trace ~instance:pair.Pair.dx_instances.(i)
-          ~pid:pair.Pair.subject ~horizon
-        |> List.filter (fun (_, b) -> b < horizon - slack)
+        Dining.Monitor.Run.timeline runs.(i) ~pid:pair.Pair.subject
+        |> List.filter_map (fun (a, b, ph) ->
+               if Types.phase_equal ph Types.Eating && b < horizon - slack then Some (a, b)
+               else None)
       in
-      let info_tag = Printf.sprintf "%s:%d" pair.Pair.subject_tag i in
-      let pings = note_times trace ~pid:pair.Pair.subject ~label:"red-ping" ~info:info_tag in
-      let acks = note_times trace ~pid:pair.Pair.subject ~label:"red-ack" ~info:info_tag in
-      List.iter
-        (fun (a, b) ->
-          let np = List.length (List.filter (fun t -> t >= a && t < b) pings) in
-          let na = List.length (List.filter (fun t -> t > a && t <= b) acks) in
+      (* pings in [a, b); acks in (a, b] *)
+      let nps = Dining.Monitor.counts_in (times pings.(i)) sessions in
+      let nas =
+        Dining.Monitor.counts_in (times acks.(i)) (List.map (fun (a, b) -> (a + 1, b + 1)) sessions)
+      in
+      List.iter2
+        (fun (a, b) (np, na) ->
           if np <> 1 then
             l5_violations :=
               Printf.sprintf "s_%d session [%d,%d): %d pings" i a b np :: !l5_violations;
           if na <> 1 then
             l5_violations :=
               Printf.sprintf "s_%d session [%d,%d): %d acks" i a b na :: !l5_violations)
-        sessions
+        sessions (List.combine nps nas)
     done;
   (* Lemmas 7 and 11: threads eat repeatedly. *)
   let counts role pid =
     List.map
-      (fun i -> List.length (eating_starts trace ~instance:pair.Pair.dx_instances.(i) ~pid))
+      (fun i -> Dining.Monitor.Run.eat_count runs.(i) ~pid)
       [ 0; 1 ]
     |> fun l -> (role, l)
   in
@@ -219,23 +223,20 @@ let trace_reports ~engine ~pair =
   let l12_violations = ref [] in
   if watcher_correct then
     for i = 0 to 1 do
-      let starts_i =
-        eating_starts trace ~instance:pair.Pair.dx_instances.(i) ~pid:pair.Pair.watcher
+      let starts_i = Dining.Monitor.Run.eating_starts runs.(i) ~pid:pair.Pair.watcher in
+      let starts_other = Dining.Monitor.Run.eating_starts runs.(1 - i) ~pid:pair.Pair.watcher in
+      (* consecutive eats a <= b of w_i; w_{1-i} eats in (a, b) *)
+      let gaps =
+        List.init (max 0 (Array.length starts_i - 1)) (fun k -> (starts_i.(k), starts_i.(k + 1)))
       in
-      let starts_other =
-        eating_starts trace ~instance:pair.Pair.dx_instances.(1 - i) ~pid:pair.Pair.watcher
-      in
-      let rec scan = function
-        | a :: (b :: _ as rest) ->
-            let c = List.length (List.filter (fun t -> t > a && t < b) starts_other) in
-            if c <> 1 then
-              l12_violations :=
-                Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a b c (1 - i)
-                :: !l12_violations;
-            scan rest
-        | _ -> ()
-      in
-      scan starts_i
+      List.iter2
+        (fun (a, b) c ->
+          if c <> 1 then
+            l12_violations :=
+              Printf.sprintf "w_%d eats at %d and %d with %d w_%d eats between" i a b c (1 - i)
+              :: !l12_violations)
+        gaps
+        (Dining.Monitor.counts_in starts_other (List.map (fun (a, b) -> (a + 1, b)) gaps))
     done;
   (* Lemma 1 (wait-freedom of the subjects) and Lemma 6 (finite eating),
      judged only when both processes are correct. *)
@@ -249,8 +250,7 @@ let trace_reports ~engine ~pair =
             l1_violations := Printf.sprintf "s_%d hungry since t=%d unserved" i a :: !l1_violations;
           if Types.phase_equal ph Types.Eating && b >= horizon && a < horizon - slack then
             l6_violations := Printf.sprintf "s_%d eating since t=%d never exits" i a :: !l6_violations)
-        (Trace.phase_timeline trace ~instance:pair.Pair.dx_instances.(i) ~pid:pair.Pair.subject
-           ~horizon)
+        (Dining.Monitor.Run.timeline runs.(i) ~pid:pair.Pair.subject)
     done;
   [
     { lemma = "L1"; violations = List.rev !l1_violations; info = "hungry subjects eat" };

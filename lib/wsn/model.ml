@@ -113,14 +113,22 @@ type sample = {
 
 let coverage_series t ~sample_every ~horizon =
   let trace = Engine.trace t.engine in
-  let crash_times = Trace.crash_times trace in
-  let intervals =
+  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:t.instance) ~horizon in
+  (* Samples ascend, so each node's sorted duty intervals are walked once. *)
+  let duty =
     Array.init t.node_count (fun pid ->
-        Dining.Monitor.live_eating_intervals trace ~instance:t.instance ~pid ~horizon)
+        Array.of_list (Dining.Monitor.Run.live_eating_intervals r ~pid))
   in
-  let on_duty pid at = List.exists (fun (a, b) -> a <= at && at < b) intervals.(pid) in
+  let next = Array.make t.node_count 0 in
+  let on_duty pid at =
+    let iv = duty.(pid) in
+    while next.(pid) < Array.length iv && snd iv.(next.(pid)) <= at do
+      next.(pid) <- next.(pid) + 1
+    done;
+    next.(pid) < Array.length iv && fst iv.(next.(pid)) <= at
+  in
   let alive_at pid at =
-    match Types.Pidmap.find_opt pid crash_times with None -> true | Some tc -> at < tc
+    match Dining.Monitor.Run.crash_time r pid with None -> true | Some tc -> at < tc
   in
   let samples = ref [] in
   let at = ref sample_every in

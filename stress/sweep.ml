@@ -93,8 +93,9 @@ let run_config algo (gspec, adv, ncrash, seed) =
   Engine.run engine ~until:14000;
   Obs.Instrument.finalize inst;
   let trace = Engine.trace engine in
-  let wf = Dining.Monitor.wait_freedom trace ~instance:"dx" ~n ~horizon:14000 ~slack:4500 in
-  let wx = Dining.Monitor.eventual_weak_exclusion trace ~instance:"dx" ~graph ~horizon:14000 ~suffix_from:8000 in
+  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"dx") ~horizon:14000 in
+  let wf = Dining.Monitor.Run.wait_freedom r ~n ~slack:4500 in
+  let wx = Dining.Monitor.Run.eventual_weak_exclusion r ~graph ~suffix_from:8000 in
   let ok = wf.Detectors.Properties.holds && wx.Detectors.Properties.holds in
   let entry =
     Obs.Json.Obj
