@@ -4,7 +4,7 @@
 # written and parses.
 
 .PHONY: all build test fmt lint baseline-update check smoke fuzz-smoke mc-smoke \
-	bench-smoke bench-scale bench-diff trace-smoke perf-smoke clean
+	sweep-smoke bench-smoke bench-scale bench-diff trace-smoke perf-smoke clean
 
 # Worker count for the parallel targets below. Results are byte-identical
 # for any J (see DESIGN.md, "Parallel execution & determinism contract"),
@@ -67,6 +67,15 @@ mc-smoke: build
 		--delta 2 --phi 1 --eat-ticks 1 --seed 0x5EED -j $(J) \
 		--out /tmp/dinersim-mc-repro --report /tmp/dinersim-mc-smoke.json
 	dune exec bin/dinersim.exe -- report /tmp/dinersim-mc-smoke.json
+
+# Stress grids of the two ◇P-based schedulers: 648 (topology, adversary,
+# crash pattern, seed) configs each through the dining registry, checking
+# wait-freedom and ◇WX on every run. sweep.exe exits non-zero on any
+# failing config. Reports go under _build/; their body is byte-identical
+# for any J.
+sweep-smoke: build
+	dune exec stress/sweep.exe -- wf _build/sweep-smoke-wf.json -j $(J)
+	dune exec stress/sweep.exe -- kfair _build/sweep-smoke-kfair.json -j $(J)
 
 # Refresh the committed benchmark snapshot. Medians over --trials runs;
 # the extra trials execute on the worker pool, and the recorded `jobs`

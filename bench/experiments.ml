@@ -373,22 +373,18 @@ let k1 () =
       (* Layer: the paper's two-step construction — extract ◇P from the
          black box, feed it to the k-fair dining algorithm. *)
       let graph = Graphs.Conflict_graph.clique ~n in
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let oracle = Reduction.Extract.oracle run.Core.Scenario.extract pid in
-        let suspects () = oracle.Detectors.Oracle.suspects () in
-        let comp, handle =
+      Core.Scenario.with_diners
+        (fun ctx pid ->
+          let oracle = Reduction.Extract.oracle run.Core.Scenario.extract pid in
+          let suspects () = oracle.Detectors.Oracle.suspects () in
           match algo with
           | `Kfair ->
               let c, h, _ = Dining.Kfair.component ctx ~instance:"kf" ~graph ~suspects () in
               (c, h)
           | `Wf ->
               let c, h, _ = Dining.Wf_ewx.component ctx ~instance:"kf" ~graph ~suspects () in
-              (c, h)
-        in
-        Engine.register engine pid comp;
-        Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
-      done;
+              (c, h))
+        engine ~graph ~eat_ticks:3;
       (match crash with Some at -> Engine.schedule_crash engine 2 ~at | None -> ());
       Engine.run engine ~until:30000;
       let trace = Engine.trace engine in
@@ -474,43 +470,9 @@ let a2 () =
   Util.section "A2  Sections 2-3: contention manager boosts OF transactions to wait-free";
   let horizon = 12000 in
   let run with_cm =
-    let clients = 4 in
-    let n = clients + 1 in
-    let engine = Engine.create ~seed:707L ~n ~adversary:(Adversary.partial_sync ~gst:400 ()) () in
-    let store_comp, _ = Ctm.Store.component (Engine.ctx engine 0) () in
-    Engine.register engine 0 store_comp;
-    let client_pids = List.init clients (fun i -> i + 1) in
-    let graph =
-      Graphs.Conflict_graph.of_edges ~n
-        (List.concat_map
-           (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) client_pids)
-           client_pids)
-    in
-    let stats =
-      List.map
-        (fun pid ->
-          let ctx = Engine.ctx engine pid in
-          let cm =
-            if with_cm then begin
-              let fd, oracle = Detectors.Heartbeat.component ctx ~peers:client_pids () in
-              Engine.register engine pid fd;
-              let comp, handle, _ =
-                Dining.Wf_ewx.component ctx ~instance:"cm" ~graph
-                  ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-                  ()
-              in
-              Engine.register engine pid comp;
-              Some handle
-            end
-            else None
-          in
-          let comp, st = Ctm.Client.component ctx ~store:0 ?cm ~compute_ticks:6 () in
-          Engine.register engine pid comp;
-          st)
-        client_pids
-    in
-    Engine.run engine ~until:horizon;
-    stats
+    let run = Core.Scenario.ctm ~seed:707L ~compute_ticks:6 ~clients:4 ~with_cm () in
+    Engine.run run.Core.Scenario.engine ~until:horizon;
+    List.map snd run.Core.Scenario.clients
   in
   let summarize stats =
     let tot f = List.fold_left (fun acc st -> acc + f st) 0 stats in
@@ -763,18 +725,7 @@ let c1 () =
   List.iter
     (fun (label, source, crash) ->
       let n = 3 in
-      let engine, suspects_of =
-        match source with
-        | `Extracted ->
-            let run = Core.Scenario.wf_extraction ~seed:909L ~with_lemma_monitors:false ~n () in
-            ( run.Core.Scenario.engine,
-              fun pid ->
-                let oracle = Reduction.Extract.oracle run.Core.Scenario.extract pid in
-                fun () -> oracle.Detectors.Oracle.suspects () )
-        | `Native ->
-            let engine = Engine.create ~seed:909L ~n ~adversary:(Adversary.partial_sync ~gst:500 ()) () in
-            (engine, Core.Scenario.evp_suspects engine ~n ~windows:[])
-      in
+      let engine, suspects_of = Core.Scenario.evp_source ~seed:909L ~n source in
       let instances =
         List.init n (fun pid ->
             let ctx = Engine.ctx engine pid in
@@ -889,12 +840,8 @@ let scale ~n () =
       match e.Trace.ev with
       | Trace.Transition { to_ = Types.Eating; _ } -> incr meals
       | _ -> ());
-  for pid = 0 to n - 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, handle, _ = Dining.Hygienic.component ctx ~instance:"sc" ~graph () in
-    Engine.register engine pid comp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
-  done;
+  List.assoc "hygienic" Core.Scenario.default_registry engine ~graph ~instance:"sc"
+    ~eat_ticks:3;
   Engine.run engine ~until:ticks;
   Util.table
     ~header:[ "n"; "ticks"; "proc-ticks"; "meals"; "msgs sent"; "in flight at end" ]

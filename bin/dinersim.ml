@@ -69,7 +69,8 @@ let crash_conv =
     match String.split_on_char '@' s with
     | [ pid; at ] -> (
         match (int_of_string_opt pid, int_of_string_opt at) with
-        | Some pid, Some at -> Ok (pid, at)
+        | Some pid, Some at when at >= 0 -> Ok (pid, at)
+        | Some _, Some _ -> Error (`Msg "TICK must be >= 0")
         | _ -> Error (`Msg "expected PID@TICK"))
     | _ -> Error (`Msg "expected PID@TICK")
   in
@@ -197,6 +198,11 @@ let crashes_config crashes =
     (List.map (fun (pid, at) -> Obs.Json.Str (Printf.sprintf "%d@%d" pid at)) crashes)
 
 let apply_crashes engine crashes =
+  (match Core.Cmdline.check_crashes ~n:(Engine.n engine) crashes with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "dinersim: %s\n" msg;
+      exit 2);
   List.iter (fun (pid, at) -> Engine.schedule_crash engine pid ~at) crashes
 
 let maybe_dump engine n =
@@ -326,64 +332,15 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
   let n = Graphs.Conflict_graph.n graph in
   let engine = Engine.create ~seed ~n ~adversary () in
   let obs = obs_install engine ~trace_out ~report in
-  let register_clients handle pid =
-    let ctx = Engine.ctx engine pid in
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ~eat_ticks ())
-  in
   let instance = "din" in
-  (match algo with
-  | `Hygienic ->
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let comp, handle, _ = Dining.Hygienic.component ctx ~instance ~graph () in
-        Engine.register engine pid comp;
-        register_clients handle pid
-      done
-  | `Wf | `Kfair | `Fl1 ->
-      let suspects = Core.Scenario.evp_suspects engine ~n ~windows:[] in
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let comp, handle =
-          match algo with
-          | `Wf ->
-              let c, h, _ =
-                Dining.Wf_ewx.component ctx ~instance ~graph ~suspects:(suspects pid) ()
-              in
-              (c, h)
-          | `Fl1 -> Dining.Fl1.component ctx ~instance ~graph ~suspects:(suspects pid) ()
-          | `Kfair | `Hygienic | `Ftme ->
-              let c, h, _ =
-                Dining.Kfair.component ctx ~instance ~graph ~suspects:(suspects pid) ()
-              in
-              (c, h)
-        in
-        Engine.register engine pid comp;
-        register_clients handle pid
-      done
-  | `Ftme ->
-      for pid = 0 to n - 1 do
-        let ctx = Engine.ctx engine pid in
-        let comp, oracle =
-          Detectors.Ground_truth.trusting ctx ~peers:(List.init n Fun.id) ()
-        in
-        Engine.register engine pid comp;
-        let dcomp, handle, _ =
-          Dining.Ftme.component ctx ~instance ~members:(List.init n Fun.id)
-            ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-            ()
-        in
-        Engine.register engine pid dcomp;
-        register_clients handle pid
-      done);
+  List.assoc algo Core.Scenario.default_registry engine ~graph ~instance ~eat_ticks;
   apply_crashes engine crashes;
   Engine.run engine ~until:horizon;
   maybe_dump engine dump;
   maybe_csv engine csv;
   let trace = Engine.trace engine in
   Printf.printf "dining %s on n=%d (%d edges), adversary=%s, horizon=%d\n"
-    (match algo with
-    | `Hygienic -> "hygienic" | `Wf -> "wf-◇wx" | `Kfair -> "k-fair" | `Ftme -> "ftme"
-    | `Fl1 -> "fl1")
+    (match algo with "wf" -> "wf-◇wx" | "kfair" -> "k-fair" | a -> a)
     n
     (List.length (Graphs.Conflict_graph.edges graph))
     adversary.Adversary.name horizon;
@@ -411,11 +368,7 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
   obs_finish obs ~cmd:"dining" ~seed ~horizon
     ~config:
       [
-        ( "algo",
-          Obs.Json.Str
-            (match algo with
-            | `Hygienic -> "hygienic" | `Wf -> "wf" | `Kfair -> "kfair" | `Ftme -> "ftme"
-            | `Fl1 -> "fl1") );
+        ("algo", Obs.Json.Str algo);
         ("n", Obs.Json.Int n);
         ("edges", Obs.Json.Int (List.length (Graphs.Conflict_graph.edges graph)));
         ("adversary", Obs.Json.Str adversary.Adversary.name);
@@ -430,14 +383,11 @@ let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trac
 
 let dining_cmd =
   let algo_t =
-    let doc = "Algorithm: hygienic | wf | kfair | ftme | fl1." in
+    let registry = Core.Scenario.default_registry in
+    let doc = "Algorithm: " ^ String.concat " | " (List.map fst registry) ^ "." in
     Arg.(
       value
-      & opt
-          (enum
-             [ ("hygienic", `Hygienic); ("wf", `Wf); ("kfair", `Kfair); ("ftme", `Ftme);
-               ("fl1", `Fl1) ])
-          `Wf
+      & opt (enum (List.map (fun (name, _) -> (name, name)) registry)) "wf"
       & info [ "algo" ] ~doc)
   in
   let eat_t =
@@ -571,41 +521,10 @@ let wsn_cmd =
 (* ctm *)
 
 let run_ctm seed horizon clients with_cm trace_out report =
-  let n = clients + 1 in
-  let engine = Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:400 ()) () in
+  let { Core.Scenario.engine; store; clients = stats } =
+    Core.Scenario.ctm ~seed ~clients ~with_cm ()
+  in
   let obs = obs_install engine ~trace_out ~report in
-  let store_comp, store_stats = Ctm.Store.component (Engine.ctx engine 0) () in
-  Engine.register engine 0 store_comp;
-  let client_pids = List.init clients (fun i -> i + 1) in
-  let graph =
-    Graphs.Conflict_graph.of_edges ~n
-      (List.concat_map
-         (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) client_pids)
-         client_pids)
-  in
-  let stats =
-    List.map
-      (fun pid ->
-        let ctx = Engine.ctx engine pid in
-        let cm =
-          if with_cm then begin
-            let fd, oracle = Detectors.Heartbeat.component ctx ~peers:client_pids () in
-            Engine.register engine pid fd;
-            let comp, handle, _ =
-              Dining.Wf_ewx.component ctx ~instance:"cm" ~graph
-                ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-                ()
-            in
-            Engine.register engine pid comp;
-            Some handle
-          end
-          else None
-        in
-        let comp, st = Ctm.Client.component ctx ~store:0 ?cm () in
-        Engine.register engine pid comp;
-        (pid, st))
-      client_pids
-  in
   Engine.run engine ~until:horizon;
   Printf.printf "%d transactional clients, %s, horizon=%d\n" clients
     (if with_cm then "with contention manager" else "without contention manager")
@@ -615,8 +534,8 @@ let run_ctm seed horizon clients with_cm trace_out report =
       Printf.printf "  p%d: %d commits / %d aborts\n" pid st.Ctm.Client.commits
         st.Ctm.Client.aborts)
     stats;
-  Printf.printf "store: %d successful CAS, %d failed\n" store_stats.Ctm.Store.cas_ok
-    store_stats.Ctm.Store.cas_fail;
+  Printf.printf "store: %d successful CAS, %d failed\n" store.Ctm.Store.cas_ok
+    store.Ctm.Store.cas_fail;
   let min_commits =
     List.fold_left
       (fun acc (_, (st : Ctm.Client.stats)) -> min acc st.Ctm.Client.commits)
@@ -653,20 +572,7 @@ let ctm_cmd =
 (* agreement *)
 
 let run_agreement seed horizon crashes n source trace_out report =
-  let engine, suspects_of =
-    match source with
-    | `Extracted ->
-        let run = Core.Scenario.wf_extraction ~seed ~with_lemma_monitors:false ~n () in
-        ( run.Core.Scenario.engine,
-          fun pid ->
-            let oracle = Reduction.Extract.oracle run.Core.Scenario.extract pid in
-            fun () -> oracle.Detectors.Oracle.suspects () )
-    | `Native ->
-        let engine =
-          Engine.create ~seed ~n ~adversary:(Adversary.partial_sync ~gst:500 ()) ()
-        in
-        (engine, Core.Scenario.evp_suspects engine ~n ~windows:[])
-  in
+  let engine, suspects_of = Core.Scenario.evp_source ~seed ~n source in
   let obs = obs_install engine ~trace_out ~report in
   let members = List.init n Fun.id in
   let instances =

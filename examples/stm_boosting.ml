@@ -7,43 +7,9 @@
 open Dsim
 
 let run ~with_cm ~horizon =
-  let clients = 4 in
-  let n = clients + 1 in
-  let engine = Engine.create ~seed:77L ~n ~adversary:(Adversary.partial_sync ~gst:400 ()) () in
-  let store_comp, _ = Ctm.Store.component (Engine.ctx engine 0) () in
-  Engine.register engine 0 store_comp;
-  let client_pids = List.init clients (fun i -> i + 1) in
-  let graph =
-    Graphs.Conflict_graph.of_edges ~n
-      (List.concat_map
-         (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) client_pids)
-         client_pids)
-  in
-  let stats =
-    List.map
-      (fun pid ->
-        let ctx = Engine.ctx engine pid in
-        let cm =
-          if with_cm then begin
-            let fd, oracle = Detectors.Heartbeat.component ctx ~peers:client_pids () in
-            Engine.register engine pid fd;
-            let comp, handle, _ =
-              Dining.Wf_ewx.component ctx ~instance:"cm" ~graph
-                ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-                ()
-            in
-            Engine.register engine pid comp;
-            Some handle
-          end
-          else None
-        in
-        let comp, st = Ctm.Client.component ctx ~store:0 ?cm ~compute_ticks:6 () in
-        Engine.register engine pid comp;
-        (pid, st))
-      client_pids
-  in
-  Engine.run engine ~until:horizon;
-  stats
+  let run = Core.Scenario.ctm ~seed:77L ~compute_ticks:6 ~clients:4 ~with_cm () in
+  Engine.run run.Core.Scenario.engine ~until:horizon;
+  run.Core.Scenario.clients
 
 let summarize label stats ~horizon =
   Printf.printf "%s\n" label;

@@ -1,9 +1,7 @@
 open Dsim
 
-type builder =
-  Engine.t -> graph:Graphs.Conflict_graph.t -> instance:string -> eat_ticks:int -> unit
-
-type registry = (string * builder) list
+type builder = Core.Scenario.builder
+type registry = Core.Scenario.registry
 
 type outcome = {
   checks : Obs.Report.check list;
@@ -15,63 +13,7 @@ type outcome = {
 
 let instance = "fz"
 
-let with_evp make engine ~graph ~instance ~eat_ticks =
-  let n = Graphs.Conflict_graph.n graph in
-  let suspects = Core.Scenario.evp_suspects engine ~n ~windows:[] in
-  for pid = 0 to n - 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, handle = make ctx ~graph ~instance ~suspects:(suspects pid) in
-    Engine.register engine pid comp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ~eat_ticks ())
-  done
-
-let wf_builder =
-  with_evp (fun ctx ~graph ~instance ~suspects ->
-      let c, h, _ = Dining.Wf_ewx.component ctx ~instance ~graph ~suspects () in
-      (c, h))
-
-let kfair_builder =
-  with_evp (fun ctx ~graph ~instance ~suspects ->
-      let c, h, _ = Dining.Kfair.component ctx ~instance ~graph ~suspects () in
-      (c, h))
-
-let fl1_builder =
-  with_evp (fun ctx ~graph ~instance ~suspects ->
-      Dining.Fl1.component ctx ~instance ~graph ~suspects ())
-
-let hygienic_builder engine ~graph ~instance ~eat_ticks =
-  let n = Graphs.Conflict_graph.n graph in
-  for pid = 0 to n - 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, handle, _ = Dining.Hygienic.component ctx ~instance ~graph () in
-    Engine.register engine pid comp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ~eat_ticks ())
-  done
-
-let ftme_builder engine ~graph ~instance ~eat_ticks =
-  let n = Graphs.Conflict_graph.n graph in
-  let members = List.init n Fun.id in
-  for pid = 0 to n - 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, oracle = Detectors.Ground_truth.trusting ctx ~peers:members () in
-    Engine.register engine pid comp;
-    let dcomp, handle, _ =
-      Dining.Ftme.component ctx ~instance ~members
-        ~suspects:(fun () -> oracle.Detectors.Oracle.suspects ())
-        ()
-    in
-    Engine.register engine pid dcomp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ~eat_ticks ())
-  done
-
-let default_registry =
-  [
-    ("wf", wf_builder);
-    ("kfair", kfair_builder);
-    ("fl1", fl1_builder);
-    ("hygienic", hygienic_builder);
-    ("ftme", ftme_builder);
-  ]
+let default_registry = Core.Scenario.default_registry
 
 let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
   (match (record, replay, drive) with

@@ -9,12 +9,11 @@
 
 open Dsim
 
-type builder =
-  Engine.t -> graph:Graphs.Conflict_graph.t -> instance:string -> eat_ticks:int -> unit
+type builder = Core.Scenario.builder
 (** Deploy one dining algorithm (plus clients and any detectors it needs)
     on every process of the engine. *)
 
-type registry = (string * builder) list
+type registry = Core.Scenario.registry
 (** Algorithms by config name. Tests extend this with broken variants. *)
 
 type outcome = {
@@ -31,9 +30,7 @@ val instance : string
 (** The dining-instance tag used by every fuzz run (["fz"]). *)
 
 val default_registry : registry
-(** wf, kfair, fl1, hygienic, ftme — deployed exactly as [dinersim dining]
-    deploys them (heartbeat ◇P under wf/kfair/fl1, trusting ground truth
-    under ftme, nothing under hygienic). *)
+(** {!Core.Scenario.default_registry}: wf, kfair, fl1, hygienic, ftme. *)
 
 val run :
   ?record:Adversary.tape ->

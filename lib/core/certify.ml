@@ -42,18 +42,8 @@ let ftme_candidate =
     name = "FTME (perpetual WX over trusting oracle)";
     prepare =
       (fun engine ->
-        let n = Engine.n engine in
-        let fns = Array.make n (fun () -> Types.Pidset.empty) in
-        for pid = 0 to n - 1 do
-          let ctx = Engine.ctx engine pid in
-          let comp, oracle =
-            Detectors.Ground_truth.trusting ctx ~detection_delay:25
-              ~peers:(List.init n Fun.id) ()
-          in
-          Engine.register engine pid comp;
-          fns.(pid) <- (fun () -> oracle.Detectors.Oracle.suspects ())
-        done;
-        Reduction.Pair.ftme_factory ~suspects:(fun pid -> fns.(pid)));
+        Reduction.Pair.ftme_factory
+          ~suspects:(Scenario.trusting_suspects ~detection_delay:25 engine ~n:(Engine.n engine)));
   }
 
 let no_override_candidate =
@@ -89,12 +79,9 @@ let box_checks candidate ~seed ~horizon =
   let engine = Engine.create ~seed ~n:2 ~adversary:(Adversary.partial_sync ~gst:500 ()) () in
   let factory = candidate.prepare engine in
   let graph = Graphs.Conflict_graph.pair () in
-  for pid = 0 to 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, handle = factory ctx ~instance:"cert" ~participants:(0, 1) in
-    Engine.register engine pid comp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
-  done;
+  Scenario.with_diners
+    (fun ctx _ -> factory ctx ~instance:"cert" ~participants:(0, 1))
+    engine ~graph ~eat_ticks:3;
   Engine.schedule_crash engine 1 ~at:(horizon / 4);
   Engine.run engine ~until:horizon;
   let trace = Engine.trace engine in

@@ -70,3 +70,11 @@ let extract_seed_flag ~default args =
     | a :: rest -> go (a :: acc) seed rest
   in
   go [] default args
+
+let check_crashes ~n crashes =
+  match List.find_opt (fun (pid, _) -> pid < 0 || pid >= n) crashes with
+  | None -> Ok ()
+  | Some (pid, at) ->
+      Error
+        (Printf.sprintf "crash %d@%d: pid %d is out of range for n=%d (expected 0..%d)" pid at
+           pid n (n - 1))

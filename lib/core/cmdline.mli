@@ -37,3 +37,7 @@ val extract_float_flag :
 (** Same contract for a float-valued flag (accepts anything
     [float_of_string] does). Used for [tools/benchdiff]'s
     [--threshold]. *)
+
+val check_crashes : n:int -> (int * int) list -> (unit, string) result
+(** [Ok ()] when every [(pid, tick)] crash names a process of an
+    [n]-process run; otherwise an error naming the first bad pid and [n]. *)

@@ -6,6 +6,9 @@
      dune exec stress/sweep.exe -- wf --seed 0xBEEF  # shift the seed grid
      dune exec stress/sweep.exe -- wf -j 8           # 8 worker domains
 
+   The algorithm is any name in Core.Scenario.default_registry (wf,
+   kfair, fl1, hygienic, ftme); an unknown name exits 2.
+
    --seed (hex or decimal, parsed by the shared Core.Cmdline helper) sets
    the base of the per-config seed ladder (default 4000). -j/--jobs
    spreads the grid over that many domains (default: recommended domain
@@ -67,7 +70,7 @@ let grid base_seed =
 
 (* One configuration = one independent simulation, a pure function of the
    algorithm name and the grid point: safe to run on any worker domain. *)
-let run_config algo (gspec, adv, ncrash, seed) =
+let run_config (algo, builder) (gspec, adv, ncrash, seed) =
   let graph = graph_of seed gspec in
   let n = Graphs.Conflict_graph.n graph in
   let engine = Engine.create ~seed ~n ~adversary:(adversary_of adv) () in
@@ -76,18 +79,7 @@ let run_config algo (gspec, adv, ncrash, seed) =
      phase, like the campaign driver. *)
   let metrics = Obs.Metrics.create () in
   let inst = Obs.Instrument.install ~metrics engine in
-  let suspects = Core.Scenario.evp_suspects engine ~n ~windows:[] in
-  for pid = 0 to n - 1 do
-    let ctx = Engine.ctx engine pid in
-    let comp, handle =
-      if algo = "wf" then
-        let c, h, _ = Dining.Wf_ewx.component ctx ~instance:"dx" ~graph ~suspects:(suspects pid) () in (c, h)
-      else
-        let c, h, _ = Dining.Kfair.component ctx ~instance:"dx" ~graph ~suspects:(suspects pid) () in (c, h)
-    in
-    Engine.register engine pid comp;
-    Engine.register engine pid (Dining.Clients.greedy ctx ~handle ())
-  done;
+  builder engine ~graph ~instance:"dx" ~eat_ticks:3;
   if ncrash >= 1 then Engine.schedule_crash engine (n - 1) ~at:(600 + Int64.to_int (Int64.rem seed 1500L));
   if ncrash >= 2 && n > 3 then Engine.schedule_crash engine 1 ~at:2200;
   Engine.run engine ~until:14000;
@@ -138,6 +130,15 @@ let () =
     exit 2
   end;
   let algo = match positional with a :: _ -> a | [] -> "wf" in
+  let registry = Core.Scenario.default_registry in
+  let builder =
+    match List.assoc_opt algo registry with
+    | Some b -> b
+    | None ->
+        Printf.eprintf "sweep: unknown algorithm %S (known: %s)\n" algo
+          (String.concat ", " (List.map fst registry));
+        exit 2
+  in
   let report_path =
     match positional with
     | _ :: p :: _ -> p
@@ -146,7 +147,7 @@ let () =
   let specs = grid base_seed in
   let (results : (Obs.Json.t * string option * Obs.Metrics.t) array), total_s =
     Obs.Instrument.time (fun () ->
-        Exec.Pool.map ~jobs (Array.length specs) (fun i -> run_config algo specs.(i)))
+        Exec.Pool.map ~jobs (Array.length specs) (fun i -> run_config (algo, builder) specs.(i)))
   in
   (* Merge phase, in grid order: failure lines, report entries and the
      merged metrics registry come out identical for every -j. *)

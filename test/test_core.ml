@@ -86,6 +86,50 @@ let test_vulnerability_modes_disagree () =
   check "flawed oscillates much more" true (flawed_flips > 10 * our_flips);
   check "ours converges to trust" false our_final
 
+(* The shared deployments, pinned as trace digests. The values were
+   recorded from the hand-written deployments these replaced: each
+   registry algorithm deployed as [dinersim dining --algo A --seed 7
+   --horizon 4000 --crash 1@1500] deploys it (instance "din", ring of 5,
+   partial sync GST 500, 3-tick meals), and the [dinersim ctm] set-up. wf
+   and fl1 produce the same trace on this run. *)
+let digest engine = Digest.to_hex (Digest.string (Trace.to_csv (Engine.trace engine)))
+
+let test_registry_pinned () =
+  let pinned =
+    [
+      ("wf", "cbaba327ce14c65c01e1182137fc4974");
+      ("kfair", "1fe10767cfcdee2cc6324c9149baa542");
+      ("fl1", "cbaba327ce14c65c01e1182137fc4974");
+      ("hygienic", "617be8fc6a100e1fb6652bfd555a2724");
+      ("ftme", "6acdee9722ab6c27153b3b7404acbc35");
+    ]
+  in
+  Alcotest.(check (list string))
+    "registry names, in order" (List.map fst pinned)
+    (List.map fst Core.Scenario.default_registry);
+  List.iter
+    (fun (algo, builder) ->
+      let graph = Graphs.Conflict_graph.ring ~n:5 in
+      let engine =
+        Engine.create ~seed:7L ~n:5 ~adversary:(Adversary.partial_sync ~gst:500 ()) ()
+      in
+      builder engine ~graph ~instance:"din" ~eat_ticks:3;
+      Engine.schedule_crash engine 1 ~at:1500;
+      Engine.run engine ~until:4000;
+      Alcotest.(check string) ("pinned trace digest of " ^ algo) (List.assoc algo pinned)
+        (digest engine))
+    Core.Scenario.default_registry
+
+let test_ctm_pinned () =
+  List.iter
+    (fun (with_cm, pinned) ->
+      let run = Core.Scenario.ctm ~seed:7L ~clients:4 ~with_cm () in
+      Engine.run run.Core.Scenario.engine ~until:4000;
+      Alcotest.(check string)
+        (Printf.sprintf "pinned trace digest, with_cm=%b" with_cm)
+        pinned (digest run.Core.Scenario.engine))
+    [ (true, "023abbbfb5b09de9b8437a4f8750be46"); (false, "e1d18e17f36a04f190f007ac5e35bc41") ]
+
 (* ------------------------------------------------------------------ *)
 (* Certification harness *)
 
@@ -179,6 +223,23 @@ let test_cmdline_extract_seed_flag () =
   | Ok _ -> Alcotest.fail "bad seed value accepted"
   | Error _ -> ()
 
+let test_cmdline_check_crashes () =
+  let ok crashes =
+    match Core.Cmdline.check_crashes ~n:5 crashes with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let bad crashes expected =
+    match Core.Cmdline.check_crashes ~n:5 crashes with
+    | Ok () -> Alcotest.fail "out-of-range crash accepted"
+    | Error e -> Alcotest.(check string) "message names the pid and n" expected e
+  in
+  ok [];
+  ok [ (0, 0); (4, 100); (4, 50) ];
+  bad [ (1, 10); (9, 100) ] "crash 9@100: pid 9 is out of range for n=5 (expected 0..4)";
+  bad [ (5, 3) ] "crash 5@3: pid 5 is out of range for n=5 (expected 0..4)";
+  bad [ (-1, 3); (7, 1) ] "crash -1@3: pid -1 is out of range for n=5 (expected 0..4)"
+
 let () =
   Alcotest.run "core"
     [
@@ -187,6 +248,7 @@ let () =
           Alcotest.test_case "parse seed" `Quick test_cmdline_parse_seed;
           Alcotest.test_case "seed echo roundtrip" `Quick test_cmdline_seed_roundtrip;
           Alcotest.test_case "extract --seed flag" `Quick test_cmdline_extract_seed_flag;
+          Alcotest.test_case "crash pids checked" `Quick test_cmdline_check_crashes;
         ] );
       ( "batch",
         [
@@ -204,6 +266,8 @@ let () =
           Alcotest.test_case "oracle aggregation" `Quick test_scenario_oracle_aggregation;
           Alcotest.test_case "vulnerability modes disagree" `Quick
             test_vulnerability_modes_disagree;
+          Alcotest.test_case "registry deployments pinned" `Quick test_registry_pinned;
+          Alcotest.test_case "ctm deployment pinned" `Quick test_ctm_pinned;
         ] );
       ( "certify",
         [
