@@ -783,14 +783,13 @@ let dining200k () =
   Util.section "D200K  wf-◇wx, ring of 5, 200k ticks, every dining check";
   let horizon = 200_000 in
   let graph = Graphs.Conflict_graph.ring ~n:5 in
-  let run =
-    Core.Scenario.wf_dining ~seed:1L ~adversary:(Adversary.partial_sync ~gst:500 ()) ~graph ()
+  let { Check.Runner.engine; run = r; _ } =
+    Check.Runner.exec ~registry:Core.Scenario.default_registry
+      { algo = "wf"; graph; adversary = Adversary.partial_sync ~gst:500 (); crashes = [];
+        eat_ticks = 3; horizon; seed = 1L; instance = "dx" }
   in
-  let engine = run.Core.Scenario.engine in
-  Engine.run engine ~until:horizon;
   let trace = Engine.trace engine in
   let n = Graphs.Conflict_graph.n graph in
-  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"dx") ~horizon in
   let module R = Dining.Monitor.Run in
   let meals = List.init n (fun pid -> R.eat_count r ~pid) in
   Util.table

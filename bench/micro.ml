@@ -18,14 +18,15 @@ let bench_engine_idle () =
   in
   Test.make ~name:"engine-step idle n=4" (Staged.stage (fun () -> Engine.step engine))
 
+(* The registry's wf on a ring of 5, run to [horizon]. *)
+let wf_ring5 ~seed horizon =
+  (Check.Runner.exec ~registry:Core.Scenario.default_registry
+     { algo = "wf"; graph = Graphs.Conflict_graph.ring ~n:5; adversary = Adversary.partial_sync ();
+       crashes = []; eat_ticks = 3; horizon; seed; instance = "dx" })
+    .Check.Runner.engine
+
 let bench_engine_dining () =
-  let engine =
-    prepared_engine (fun () ->
-        let run =
-          Core.Scenario.wf_dining ~seed:2L ~graph:(Graphs.Conflict_graph.ring ~n:5) ()
-        in
-        run.Core.Scenario.engine)
-  in
+  let engine = wf_ring5 ~seed:2L 2000 in
   Test.make ~name:"engine-step wf-dining ring5" (Staged.stage (fun () -> Engine.step engine))
 
 let bench_engine_extraction () =
@@ -44,10 +45,9 @@ let bench_oracle_query () =
     (Staged.stage (fun () -> ignore (oracle.Detectors.Oracle.suspects ())))
 
 let bench_trace_scan () =
-  let run = Core.Scenario.wf_dining ~seed:5L ~graph:(Graphs.Conflict_graph.ring ~n:5) () in
-  Engine.run run.Core.Scenario.engine ~until:5000;
-  let trace = Engine.trace run.Core.Scenario.engine in
-  let graph = run.Core.Scenario.graph in
+  let engine = wf_ring5 ~seed:5L 5000 in
+  let trace = Engine.trace engine in
+  let graph = Graphs.Conflict_graph.ring ~n:5 in
   (* The whole checking pass: fold the trace, then sweep for overlaps. *)
   Test.make ~name:"monitor exclusion-pass 5k ticks"
     (Staged.stage (fun () ->

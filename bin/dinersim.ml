@@ -151,7 +151,7 @@ let report_t =
 
 type obs = {
   metrics : Obs.Metrics.t;
-  inst : Obs.Instrument.t;
+  inst : Obs.Instrument.t option;
   sink : (string * Obs.Sink.t) option;
   report_path : string option;
 }
@@ -163,21 +163,19 @@ let io_or_die what f =
     Printf.eprintf "dinersim: cannot write %s: %s\n" what msg;
     exit 2
 
+(* A fresh metrics registry and the opened --trace-out sink, attached to nothing yet. *)
+let obs_open ~trace_out ~report =
+  let open_sink path = (path, io_or_die "trace" (fun () -> Obs.Sink.jsonl_file path)) in
+  let sink = Option.map open_sink trace_out in
+  { metrics = Obs.Metrics.create (); inst = None; sink; report_path = report }
+
 let obs_install engine ~trace_out ~report =
-  let metrics = Obs.Metrics.create () in
-  let inst = Obs.Instrument.install ~metrics engine in
-  let sink =
-    Option.map
-      (fun path ->
-        let s = io_or_die "trace" (fun () -> Obs.Sink.jsonl_file path) in
-        Obs.Sink.attach (Engine.trace engine) s;
-        (path, s))
-      trace_out
-  in
-  { metrics; inst; sink; report_path = report }
+  let obs = obs_open ~trace_out ~report in
+  let inst = Obs.Instrument.install ~metrics:obs.metrics engine in
+  Option.iter (fun (_, s) -> Obs.Sink.attach (Engine.trace engine) s) obs.sink;
+  { obs with inst = Some inst }
 
 let obs_finish obs ~cmd ~seed ~horizon ~config ~checks =
-  Obs.Instrument.finalize obs.inst;
   Option.iter
     (fun (path, (s : Obs.Sink.t)) ->
       s.Obs.Sink.close ();
@@ -187,7 +185,7 @@ let obs_finish obs ~cmd ~seed ~horizon ~config ~checks =
     (fun path ->
       let j =
         Obs.Report.make ~cmd ~seed ~horizon ~config ~metrics:obs.metrics ~checks
-          ~wall:(Obs.Instrument.wall_json obs.inst) ()
+          ~wall:(Option.fold ~none:Obs.Json.Null ~some:Obs.Instrument.wall_json obs.inst) ()
       in
       io_or_die "report" (fun () -> Obs.Report.write ~path j);
       Printf.printf "report written to %s\n" path)
@@ -197,12 +195,14 @@ let crashes_config crashes =
   Obs.Json.Arr
     (List.map (fun (pid, at) -> Obs.Json.Str (Printf.sprintf "%d@%d" pid at)) crashes)
 
-let apply_crashes engine crashes =
-  (match Core.Cmdline.check_crashes ~n:(Engine.n engine) crashes with
-  | Ok () -> ()
+let ok_or_exit = function
+  | Ok v -> v
   | Error msg ->
       Printf.eprintf "dinersim: %s\n" msg;
-      exit 2);
+      exit 2
+
+let apply_crashes engine crashes =
+  ok_or_exit (Core.Cmdline.check_crashes ~n:(Engine.n engine) crashes);
   List.iter (fun (pid, at) -> Engine.schedule_crash engine pid ~at) crashes
 
 let maybe_dump engine n =
@@ -330,22 +330,23 @@ let extract_cmd =
 
 let run_dining seed horizon adversary crashes graph algo eat_ticks dump csv trace_out report =
   let n = Graphs.Conflict_graph.n graph in
-  let engine = Engine.create ~seed ~n ~adversary () in
-  let obs = obs_install engine ~trace_out ~report in
-  let instance = "din" in
-  List.assoc algo Core.Scenario.default_registry engine ~graph ~instance ~eat_ticks;
-  apply_crashes engine crashes;
-  Engine.run engine ~until:horizon;
+  let obs = obs_open ~trace_out ~report in
+  ok_or_exit (Core.Cmdline.check_crashes ~n crashes);
+  let { Check.Runner.engine; run = r; instrument } =
+    Check.Runner.exec ~metrics:obs.metrics
+      ~observers:(Option.to_list (Option.map (fun (_, s) -> s.Obs.Sink.emit) obs.sink))
+      ~registry:Core.Scenario.default_registry
+      { algo; graph; adversary; crashes; eat_ticks; horizon; seed; instance = "din" }
+  in
+  let obs = { obs with inst = instrument } in
   maybe_dump engine dump;
   maybe_csv engine csv;
-  let trace = Engine.trace engine in
   Printf.printf "dining %s on n=%d (%d edges), adversary=%s, horizon=%d\n"
     (match algo with "wf" -> "wf-◇wx" | "kfair" -> "k-fair" | a -> a)
     n
     (List.length (Graphs.Conflict_graph.edges graph))
     adversary.Adversary.name horizon;
   let module R = Dining.Monitor.Run in
-  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance) ~horizon in
   for pid = 0 to n - 1 do
     Printf.printf "  p%d: %d meals%s\n" pid (R.eat_count r ~pid)
       (if Engine.is_live engine pid then "" else " (crashed)")
@@ -759,14 +760,7 @@ let run_fuzz seed runs max_repros max_horizon families algos jobs out corpus rep
     match algos with
     | [] -> List.map fst registry
     | l ->
-        List.iter
-          (fun a ->
-            if not (List.mem_assoc a registry) then begin
-              Printf.eprintf "dinersim: unknown algorithm %S (known: %s)\n" a
-                (String.concat ", " (List.map fst registry));
-              exit 2
-            end)
-          l;
+        List.iter (fun a -> ok_or_exit (Result.map ignore (Core.Scenario.find registry a))) l;
         l
   in
   let corpus_cb =
@@ -874,21 +868,23 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 (* replay — re-execute fuzz-repro artifacts *)
 
+(* Load a fuzz-repro/1 artifact, or exit 2 naming what is wrong with it. *)
+let load_repro path =
+  match Check.Repro.load ~path with
+  | r -> r
+  | exception Failure msg ->
+      Printf.eprintf "%s: %s\n" path msg;
+      exit 2
+  | exception Sys_error msg ->
+      prerr_endline msg;
+      exit 2
+
 let run_replay paths =
   let registry = Check.Runner.default_registry in
   let mismatched = ref false in
   List.iter
     (fun path ->
-      let r =
-        match Check.Repro.load ~path with
-        | r -> r
-        | exception Failure msg ->
-            Printf.eprintf "%s: %s\n" path msg;
-            exit 2
-        | exception Sys_error msg ->
-            prerr_endline msg;
-            exit 2
-      in
+      let r = load_repro path in
       match Check.Repro.replay ~registry r with
       | Ok (o : Check.Runner.outcome) ->
           Printf.printf "%s: OK — %s; %d meals, %d events, verdicts match\n" path
@@ -957,16 +953,10 @@ let run_trace input output horizon =
           input s;
         exit 2
     | `Repro -> (
-        let r =
-          match Check.Repro.load ~path:input with
-          | r -> r
-          | exception Failure msg ->
-              Printf.eprintf "%s: %s\n" input msg;
-              exit 2
-        in
+        let r = load_repro input in
         match
           Check.Runner.run_traced
-            ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
+            ~control:(Replay (r.Check.Repro.len, r.Check.Repro.overrides))
             ~registry:Check.Runner.default_registry r.Check.Repro.config
         with
         | _, trace ->
@@ -1041,11 +1031,7 @@ let trace_cmd =
 let run_check algo topology horizon delta phi eat_ticks seed crash_budget crash_grid no_por
     max_schedules split_depth jobs out report_path =
   let registry = Check.Runner.default_registry in
-  if not (List.mem_assoc algo registry) then begin
-    Printf.eprintf "dinersim: unknown algorithm %S (known: %s)\n" algo
-      (String.concat ", " (List.map fst registry));
-    exit 2
-  end;
+  ok_or_exit (Result.map ignore (Core.Scenario.find registry algo));
   let topology =
     match Check.Config.topology_of_string topology with
     | Some t -> t

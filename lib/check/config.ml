@@ -54,14 +54,14 @@ let family = function
    through JSON without any float-formatting subtleties. *)
 let pct p = float_of_int p /. 100.0
 
-let graph c =
-  match c.topology with
+let topology_graph = function
   | Pair -> Graphs.Conflict_graph.pair ()
   | Ring n -> Graphs.Conflict_graph.ring ~n
   | Clique n -> Graphs.Conflict_graph.clique ~n
   | Star n -> Graphs.Conflict_graph.star ~n
   | Path n -> Graphs.Conflict_graph.path ~n
 
+let graph c = topology_graph c.topology
 let n_procs c = Graphs.Conflict_graph.n (graph c)
 
 let to_adversary c =
@@ -233,6 +233,14 @@ let of_json j =
     | Ok s -> s
     | Error e -> failwith ("Config.of_json: " ^ e)
   in
+  (* A pid outside the topology would silently never crash or slow down,
+     so the artifact would replay as a different run than it names. *)
+  let n = Graphs.Conflict_graph.n (topology_graph topology) in
+  let bad fmt = Printf.ksprintf (fun m -> failwith ("Config.of_json: " ^ m)) fmt in
+  Result.iter_error (bad "%s") (Core.Cmdline.check_crashes ~n crashes);
+  let slow = match handicap with Some (slow, _) -> slow | None -> [] in
+  let check_slow p = if p < 0 || p >= n then bad "handicap pid %d is out of range for n=%d" p n in
+  List.iter check_slow slow;
   {
     algo = str "algo";
     topology;
@@ -259,9 +267,9 @@ let gen_topology rng =
    *expected* to hold for the real algorithms at the given horizon: the
    adversary must stabilise (gst <= horizon/4) well before the suffix the
    ◇WX check inspects (horizon/2), and handicap factors stay >= 30% so
-   hungry waits of slowed diners fit inside the wait-freedom slack. A
-   violation reported by a campaign is therefore a genuine property
-   failure, not a truncation artifact. *)
+   hungry waits of slowed diners fit inside the wait-freedom slack. Async
+   has no gst, though: with a handicap, a late false ◇P suspicion of the
+   slowed process can still break ◇WX (a convergence effect, not a bug). *)
 let gen_adversary rng ~family:fam ~horizon =
   match fam with
   | `Sync -> Sync
@@ -314,15 +322,7 @@ let generate rng ~algos ~families ~max_horizon =
   in
   let fam = Prng.pick rng (Array.of_list families) in
   let adversary = gen_adversary rng ~family:fam ~horizon in
-  let g =
-    match topology with
-    | Pair -> Graphs.Conflict_graph.pair ()
-    | Ring n -> Graphs.Conflict_graph.ring ~n
-    | Clique n -> Graphs.Conflict_graph.clique ~n
-    | Star n -> Graphs.Conflict_graph.star ~n
-    | Path n -> Graphs.Conflict_graph.path ~n
-  in
-  let n = Graphs.Conflict_graph.n g in
+  let n = Graphs.Conflict_graph.n (topology_graph topology) in
   let crashes =
     let k =
       match Prng.int rng ~bound:20 with

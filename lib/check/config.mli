@@ -56,7 +56,9 @@ val describe : t -> string
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed input, including a crash or handicap pid
+    outside [\[0, n_procs)] and a negative crash tick (messages start with
+    ["Config.of_json: "]). *)
 
 val crash_tolerant : string -> bool
 (** Whether the generator may schedule crashes for this algorithm. False
@@ -67,5 +69,6 @@ val crash_tolerant : string -> bool
 val generate : Prng.t -> algos:string list -> families:family list -> max_horizon:int -> t
 (** Draw a random config. Knob ranges are calibrated so the monitored
     properties are expected to hold for the real algorithms (gst within the
-    first quarter of the horizon, handicap factors >= 30%): campaign
-    violations mean property failures, not truncation artifacts. *)
+    first quarter of the horizon, handicap factors >= 30%). Except under
+    [Async] with a handicap: a late false ◇P suspicion of the slowed
+    process can still break ◇WX, a convergence effect, not a dining bug. *)

@@ -97,7 +97,7 @@ let load ~path =
   of_json (Obs.Json.of_string content)
 
 let replay ~registry r =
-  let outcome = Runner.run ~replay:(r.len, r.overrides) ~registry r.config in
+  let outcome = Runner.run ~control:(Replay (r.len, r.overrides)) ~registry r.config in
   let expected =
     List.map (fun (c : Obs.Report.check) -> (c.Obs.Report.name, c.Obs.Report.holds)) r.checks
   in

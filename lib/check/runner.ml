@@ -3,6 +3,45 @@ open Dsim
 type builder = Core.Scenario.builder
 type registry = Core.Scenario.registry
 
+type spec = {
+  algo : string;
+  graph : Graphs.Conflict_graph.t;
+  adversary : Adversary.t;
+  crashes : (Types.pid * Types.time) list;
+  eat_ticks : int;
+  horizon : int;
+  seed : int64;
+  instance : string;
+}
+
+type executed = {
+  engine : Engine.t;
+  run : Dining.Monitor.run;
+  instrument : Obs.Instrument.t option;
+}
+
+let exec ?metrics ?(observers = []) ~registry s =
+  let fail msg = failwith ("Runner.exec: " ^ msg) in
+  let builder = Result.fold ~ok:Fun.id ~error:fail (Core.Scenario.find registry s.algo) in
+  let n = Graphs.Conflict_graph.n s.graph in
+  Result.iter_error invalid_arg (Core.Cmdline.check_crashes ~n s.crashes);
+  let engine = Engine.create ~seed:s.seed ~n ~adversary:s.adversary () in
+  (* Instrumentation and observers subscribe before any component
+     registers, so they see the whole run. *)
+  let instrument = Option.map (fun metrics -> Obs.Instrument.install ~metrics engine) metrics in
+  List.iter (Trace.subscribe (Engine.trace engine)) observers;
+  builder engine ~graph:s.graph ~instance:s.instance ~eat_ticks:s.eat_ticks;
+  List.iter (fun (pid, at) -> Engine.schedule_crash engine pid ~at) s.crashes;
+  Engine.run engine ~until:s.horizon;
+  Option.iter Obs.Instrument.finalize instrument;
+  let phases = Trace.Phases.of_trace (Engine.trace engine) ~instance:s.instance in
+  { engine; run = Dining.Monitor.finish phases ~horizon:s.horizon; instrument }
+
+type control =
+  | Record of Adversary.tape
+  | Replay of int * (int * Adversary.decision) list
+  | Drive of (Adversary.query -> Adversary.decision)
+
 type outcome = {
   checks : Obs.Report.check list;
   failed : string list;
@@ -15,44 +54,23 @@ let instance = "fz"
 
 let default_registry = Core.Scenario.default_registry
 
-let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
-  (match (record, replay, drive) with
-  | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-      invalid_arg "Runner.run: record, replay and drive are mutually exclusive"
-  | _ -> ());
-  let builder =
-    match List.assoc_opt c.Config.algo registry with
-    | Some b -> b
-    | None -> failwith (Printf.sprintf "Runner.run: unknown algorithm %S" c.Config.algo)
-  in
-  let graph = Config.graph c in
-  let n = Graphs.Conflict_graph.n graph in
+let run_traced ?control ?metrics ~registry (c : Config.t) =
   let base = Config.to_adversary c in
   let adversary =
-    match (record, replay, drive) with
-    | Some tape, None, None -> Adversary.record tape base
-    | None, Some (len, overrides), None -> Adversary.replay ~len ~overrides base
-    | None, None, Some controller -> Adversary.drive controller base
-    | None, None, None -> base
-    | _ -> assert false
+    match control with
+    | None -> base
+    | Some (Record tape) -> Adversary.record tape base
+    | Some (Replay (len, overrides)) -> Adversary.replay ~len ~overrides base
+    | Some (Drive controller) -> Adversary.drive controller base
   in
-  let engine = Engine.create ~seed:c.Config.seed ~n ~adversary () in
-  (* Instrumentation must be installed before components register so its
-     on_tick hook and trace subscriber see the whole run. *)
-  let inst = Option.map (fun metrics -> Obs.Instrument.install ~metrics engine) metrics in
-  (* The coverage collector likewise subscribes before any component can
-     log, so the signature spans the whole event stream. *)
+  let graph = Config.graph c in
+  let { Config.algo; crashes; eat_ticks; horizon; seed; _ } = c in
   let cov = Obs.Coverage.create () in
-  Obs.Coverage.attach cov (Engine.trace engine);
-  builder engine ~graph ~instance ~eat_ticks:c.Config.eat_ticks;
-  List.iter
-    (fun (pid, at) -> if pid >= 0 && pid < n then Engine.schedule_crash engine pid ~at)
-    c.Config.crashes;
-  Engine.run engine ~until:c.Config.horizon;
-  Option.iter Obs.Instrument.finalize inst;
-  let trace = Engine.trace engine in
-  let horizon = c.Config.horizon in
-  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance) ~horizon in
+  let { engine; run = r; _ } =
+    exec ?metrics ~observers:[ Obs.Coverage.observe cov ] ~registry
+      { algo; graph; adversary; crashes; eat_ticks; horizon; seed; instance }
+  in
+  let n = Graphs.Conflict_graph.n graph in
   let checks =
     [
       Obs.Report.of_verdict "wait_freedom"
@@ -71,14 +89,8 @@ let run_traced ?record ?replay ?drive ?metrics ~registry (c : Config.t) =
   let meals =
     List.init n (fun pid -> Dining.Monitor.Run.eat_count r ~pid) |> List.fold_left ( + ) 0
   in
-  ( {
-      checks;
-      failed;
-      meals;
-      trace_events = Trace.length trace;
-      coverage = Obs.Coverage.snapshot cov;
-    },
-    trace )
+  let trace = Engine.trace engine in
+  let coverage = Obs.Coverage.snapshot cov in
+  ({ checks; failed; meals; trace_events = Trace.length trace; coverage }, trace)
 
-let run ?record ?replay ?drive ?metrics ~registry c =
-  fst (run_traced ?record ?replay ?drive ?metrics ~registry c)
+let run ?control ?metrics ~registry c = fst (run_traced ?control ?metrics ~registry c)

@@ -1,11 +1,8 @@
-(** Execute one campaign config and collect its property verdicts.
-
-    A runner builds the engine from the config (seed, adversary, optionally
-    wrapped for decision recording or replay), deploys the named dining
-    algorithm with greedy clients on every process, applies the crash
-    schedule, runs to the horizon, and checks the Section 4 dining
-    properties over the trace: wait-freedom (slack horizon/3), eventual
-    weak exclusion (suffix from horizon/2), and finite exiting. *)
+(** The one run pipeline for registry dining deployments ({!exec}, behind
+    [dinersim dining], [stress/sweep.exe] and the bench), and the campaign
+    runner on top of it ({!run}): one config, checked for wait-freedom
+    (slack horizon/3), eventual weak exclusion (suffix from horizon/2) and
+    finite exiting. *)
 
 open Dsim
 
@@ -15,6 +12,41 @@ type builder = Core.Scenario.builder
 
 type registry = Core.Scenario.registry
 (** Algorithms by config name. Tests extend this with broken variants. *)
+
+(** One registry dining run, from built values. *)
+type spec = {
+  algo : string;  (** Registry name. *)
+  graph : Graphs.Conflict_graph.t;
+  adversary : Adversary.t;
+  crashes : (Types.pid * Types.time) list;
+  eat_ticks : int;  (** Meal length of the greedy clients. *)
+  horizon : int;
+  seed : int64;
+  instance : string;  (** Dining-instance tag of the deployment. *)
+}
+
+type executed = {
+  engine : Engine.t;
+  run : Dining.Monitor.run;  (** The trace folded for [instance]. *)
+  instrument : Obs.Instrument.t option;  (** [Some] iff [metrics] was given. *)
+}
+
+val exec :
+  ?metrics:Obs.Metrics.t -> ?observers:(Trace.entry -> unit) list -> registry:registry -> spec ->
+  executed
+(** Create the engine; install {!Obs.Instrument} into [metrics] if given;
+    subscribe [observers] to the trace; deploy [algo]; schedule the
+    crashes; run to [horizon]; finalize; fold the trace. Raises [Failure]
+    on an algorithm missing from the registry and [Invalid_argument] on a
+    bad crash (see {!Core.Cmdline.check_crashes}), both before the engine
+    is created. *)
+
+(** How {!run} wraps the config's adversary: see {!Adversary.record},
+    {!Adversary.replay} and {!Adversary.drive} (the model checker's hook). *)
+type control =
+  | Record of Adversary.tape
+  | Replay of int * (int * Adversary.decision) list
+  | Drive of (Adversary.query -> Adversary.decision)
 
 type outcome = {
   checks : Obs.Report.check list;  (** Verdicts, fixed order. *)
@@ -32,32 +64,12 @@ val instance : string
 val default_registry : registry
 (** {!Core.Scenario.default_registry}: wf, kfair, fl1, hygienic, ftme. *)
 
-val run :
-  ?record:Adversary.tape ->
-  ?replay:int * (int * Adversary.decision) list ->
-  ?drive:(Adversary.query -> Adversary.decision) ->
-  ?metrics:Obs.Metrics.t ->
-  registry:registry ->
-  Config.t ->
-  outcome
-(** Execute the config. [record] wraps the adversary so its decision
-    sequence is captured; [replay] drives the first [len] adversary queries
-    from the given positional overrides (see {!Adversary.replay}); [drive]
-    hands every adversary query to a controller callback (see
-    {!Adversary.drive}) — the bounded exhaustive explorer's hook. The
-    three are mutually exclusive. [metrics] installs the standard
-    {!Obs.Instrument} engine instrumentation into the given registry
-    (finalized before returning) — campaign drivers give each run its own
-    registry and merge them in run-index order. Raises [Failure] on an
-    algorithm name missing from the registry. *)
+val run : ?control:control -> ?metrics:Obs.Metrics.t -> registry:registry -> Config.t -> outcome
+(** {!exec} the config under {!instance}. Campaign drivers give each run
+    its own [metrics] and merge them in run-index order. *)
 
 val run_traced :
-  ?record:Adversary.tape ->
-  ?replay:int * (int * Adversary.decision) list ->
-  ?drive:(Adversary.query -> Adversary.decision) ->
-  ?metrics:Obs.Metrics.t ->
-  registry:registry ->
-  Config.t ->
+  ?control:control -> ?metrics:Obs.Metrics.t -> registry:registry -> Config.t ->
   outcome * Trace.t
 (** Like {!run} but also returns the full recorded trace — the input of
     {!Obs.Span.chrome_of_trace} and offline property checkers

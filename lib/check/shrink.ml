@@ -128,7 +128,7 @@ let config ?(budget = 200) ~registry c0 =
 
 let decisions ?(budget = 150) ~registry (c : Config.t) =
   let tape = Adversary.tape () in
-  ignore (Runner.run ~record:tape ~registry c);
+  ignore (Runner.run ~control:(Record tape) ~registry c);
   let d = Adversary.tape_decisions tape in
   let len = Array.length d in
   if len = 0 then (0, [])
@@ -136,7 +136,7 @@ let decisions ?(budget = 150) ~registry (c : Config.t) =
     let evals = ref 0 in
     let still_fails overrides =
       incr evals;
-      (Runner.run ~replay:(len, overrides) ~registry c).Runner.failed <> []
+      (Runner.run ~control:(Replay (len, overrides)) ~registry c).Runner.failed <> []
     in
     let kept = Array.make len true in
     let to_overrides () =
@@ -179,5 +179,5 @@ let decisions ?(budget = 150) ~registry (c : Config.t) =
 let counterexample ?config_budget ?decision_budget ~registry c0 =
   let c = config ?budget:config_budget ~registry c0 in
   let len, overrides = decisions ?budget:decision_budget ~registry c in
-  let outcome = Runner.run ~replay:(len, overrides) ~registry c in
+  let outcome = Runner.run ~control:(Replay (len, overrides)) ~registry c in
   Repro.v ~config:c ~len ~overrides ~checks:outcome.Runner.checks

@@ -72,8 +72,10 @@ let extract_seed_flag ~default args =
   go [] default args
 
 let check_crashes ~n crashes =
-  match List.find_opt (fun (pid, _) -> pid < 0 || pid >= n) crashes with
+  match List.find_opt (fun (pid, at) -> pid < 0 || pid >= n || at < 0) crashes with
   | None -> Ok ()
+  | Some (pid, at) when at < 0 ->
+      Error (Printf.sprintf "crash %d@%d: tick %d is negative" pid at at)
   | Some (pid, at) ->
       Error
         (Printf.sprintf "crash %d@%d: pid %d is out of range for n=%d (expected 0..%d)" pid at

@@ -40,4 +40,5 @@ val extract_float_flag :
 
 val check_crashes : n:int -> (int * int) list -> (unit, string) result
 (** [Ok ()] when every [(pid, tick)] crash names a process of an
-    [n]-process run; otherwise an error naming the first bad pid and [n]. *)
+    [n]-process run at a tick [>= 0]; otherwise an error naming the first
+    bad entry and why (its pid and [n], or its negative tick). *)

@@ -96,19 +96,15 @@ let default_registry =
     ("ftme", ftme_builder);
   ]
 
+let find registry name =
+  match List.assoc_opt name registry with
+  | Some b -> Ok b
+  | None ->
+      let known = String.concat ", " (List.map fst registry) in
+      Error (Printf.sprintf "unknown algorithm %S (known: %s)" name known)
+
 (* ------------------------------------------------------------------ *)
 (* Deployments *)
-
-type dining_run = {
-  engine : Engine.t;
-  graph : Graphs.Conflict_graph.t;
-  instance : string;
-}
-
-let wf_dining ?(seed = 1L) ?(adversary = Adversary.partial_sync ()) ~graph () =
-  let engine = Engine.create ~seed ~n:(Graphs.Conflict_graph.n graph) ~adversary () in
-  wf_builder engine ~graph ~instance:"dx" ~eat_ticks:3;
-  { engine; graph; instance = "dx" }
 
 type ctm_run = {
   engine : Engine.t;

@@ -1,10 +1,10 @@
 (** Canned experiment scenarios.
 
     One-call builders for the set-ups used throughout the test-suite,
-    benches, examples and the CLI: the dining-algorithm registry, a
-    WF-◇WX dining deployment, the contention-manager deployment, the full
-    ◇P extraction, the Section 9 T extraction, and the Section 3
-    vulnerability scenario. All are deterministic in [seed]. *)
+    benches, examples and the CLI: the dining-algorithm registry, the
+    contention-manager deployment, the full ◇P extraction, the Section 9
+    T extraction, and the Section 3 vulnerability scenario. All are
+    deterministic in [seed]. *)
 
 open Dsim
 
@@ -53,19 +53,12 @@ val default_registry : registry
     per process — then hygienic (no detector) and ftme (over
     {!trusting_suspects}). *)
 
+val find : registry -> string -> (builder, string) result
+(** The builder registered under a name, or
+    [Error "unknown algorithm \"x\" (known: wf, kfair, ...)"] listing the
+    registry's names in order. *)
+
 (** {1 Deployments} *)
-
-(** A WF-◇WX dining deployment: the registry's [wf] on every process. *)
-type dining_run = {
-  engine : Engine.t;
-  graph : Graphs.Conflict_graph.t;
-  instance : string;  (** Always ["dx"]. *)
-}
-
-val wf_dining :
-  ?seed:int64 -> ?adversary:Adversary.t -> graph:Graphs.Conflict_graph.t -> unit -> dining_run
-(** The [wf] builder with instance ["dx"] and 3-tick meals. Defaults: seed
-    1, [Adversary.partial_sync ()]. *)
 
 (** The contention-manager deployment of Sections 2-3. *)
 type ctm_run = {

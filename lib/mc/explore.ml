@@ -146,7 +146,8 @@ let visit ?cut ~registry ~graph ~delta ~phi ~por (cfg : Check.Config.t)
     answer
   in
   match
-    try `Done (Check.Runner.run ~drive:controller ~registry cfg) with Cut -> `Abandoned
+    try `Done (Check.Runner.run ~control:(Drive controller) ~registry cfg)
+    with Cut -> `Abandoned
   with
   | `Done outcome ->
       Completed
@@ -398,5 +399,5 @@ let random_schedule ~registry (cfg : Check.Config.t) rng =
     chosen := d :: !chosen;
     d
   in
-  let (_ : Check.Runner.outcome) = Check.Runner.run ~drive:controller ~registry cfg in
+  let (_ : Check.Runner.outcome) = Check.Runner.run ~control:(Drive controller) ~registry cfg in
   Array.of_list (List.rev !chosen)

@@ -70,22 +70,21 @@ let grid base_seed =
 
 (* One configuration = one independent simulation, a pure function of the
    algorithm name and the grid point: safe to run on any worker domain. *)
-let run_config (algo, builder) (gspec, adv, ncrash, seed) =
+let run_config algo (gspec, adv, ncrash, seed) =
   let graph = graph_of seed gspec in
   let n = Graphs.Conflict_graph.n graph in
-  let engine = Engine.create ~seed ~n ~adversary:(adversary_of adv) () in
-  (* Per-config registry, installed before components register so the
-     hooks see the whole run; merged in grid order after the parallel
-     phase, like the campaign driver. *)
+  let crashes =
+    (if ncrash >= 1 then [ (n - 1, 600 + Int64.to_int (Int64.rem seed 1500L)) ] else [])
+    @ if ncrash >= 2 && n > 3 then [ (1, 2200) ] else []
+  in
+  (* Per-config registry, merged in grid order after the parallel phase,
+     like the campaign driver. *)
   let metrics = Obs.Metrics.create () in
-  let inst = Obs.Instrument.install ~metrics engine in
-  builder engine ~graph ~instance:"dx" ~eat_ticks:3;
-  if ncrash >= 1 then Engine.schedule_crash engine (n - 1) ~at:(600 + Int64.to_int (Int64.rem seed 1500L));
-  if ncrash >= 2 && n > 3 then Engine.schedule_crash engine 1 ~at:2200;
-  Engine.run engine ~until:14000;
-  Obs.Instrument.finalize inst;
-  let trace = Engine.trace engine in
-  let r = Dining.Monitor.finish (Trace.Phases.of_trace trace ~instance:"dx") ~horizon:14000 in
+  let { Check.Runner.run = r; _ } =
+    Check.Runner.exec ~metrics ~registry:Core.Scenario.default_registry
+      { algo; graph; adversary = adversary_of adv; crashes; eat_ticks = 3; horizon = 14000; seed;
+        instance = "dx" }
+  in
   let wf = Dining.Monitor.Run.wait_freedom r ~n ~slack:4500 in
   let wx = Dining.Monitor.Run.eventual_weak_exclusion r ~graph ~suffix_from:8000 in
   let ok = wf.Detectors.Properties.holds && wx.Detectors.Properties.holds in
@@ -130,24 +129,20 @@ let () =
     exit 2
   end;
   let algo = match positional with a :: _ -> a | [] -> "wf" in
-  let registry = Core.Scenario.default_registry in
-  let builder =
-    match List.assoc_opt algo registry with
-    | Some b -> b
-    | None ->
-        Printf.eprintf "sweep: unknown algorithm %S (known: %s)\n" algo
-          (String.concat ", " (List.map fst registry));
-        exit 2
-  in
+  or_die (Result.map ignore (Core.Scenario.find Core.Scenario.default_registry algo));
   let report_path =
     match positional with
     | _ :: p :: _ -> p
     | _ -> Printf.sprintf "STRESS_%s.json" algo
   in
+  (* Opened before the grid runs, so a bad path fails fast. *)
+  let oc =
+    or_die (try Ok (open_out report_path) with Sys_error m -> Error ("cannot write report: " ^ m))
+  in
   let specs = grid base_seed in
   let (results : (Obs.Json.t * string option * Obs.Metrics.t) array), total_s =
     Obs.Instrument.time (fun () ->
-        Exec.Pool.map ~jobs (Array.length specs) (fun i -> run_config (algo, builder) specs.(i)))
+        Exec.Pool.map ~jobs (Array.length specs) (fun i -> run_config algo specs.(i)))
   in
   (* Merge phase, in grid order: failure lines, report entries and the
      merged metrics registry come out identical for every -j. *)
@@ -178,7 +173,6 @@ let () =
             [ ("jobs", Obs.Json.Int jobs); ("total_s", Obs.Json.Float total_s) ] );
       ]
   in
-  let oc = open_out report_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Obs.Json.to_string_pretty j));

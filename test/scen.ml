@@ -43,3 +43,14 @@ let wf_dining ?(seed = 1L) ?(adversary = Adversary.partial_sync ()) ?(instance =
     debugs = Array.of_list (List.map (fun (_, d, _) -> d) per_pid);
     oracles = Array.of_list (List.map (fun (_, _, o) -> o) per_pid);
   }
+
+(* The registry's wf (instance "dx", 3-tick meals) run through the shared
+   pipeline to [horizon]; returns the recorded trace. *)
+let registry_wf_trace ?(adversary = Adversary.partial_sync ()) ?(crashes = []) ~seed ~graph
+    horizon =
+  let ran =
+    Check.Runner.exec ~registry:Check.Runner.default_registry
+      { Check.Runner.algo = "wf"; graph; adversary; crashes; eat_ticks = 3; horizon; seed;
+        instance = "dx" }
+  in
+  Engine.trace ran.Check.Runner.engine

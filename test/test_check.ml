@@ -57,16 +57,16 @@ let test_record_replay_identity () =
   let registry = Check.Runner.default_registry in
   let c = some_config () in
   let tape = Adversary.tape () in
-  let natural = Check.Runner.run ~record:tape ~registry c in
+  let natural = Check.Runner.run ~control:(Record tape) ~registry c in
   let plain = Check.Runner.run ~registry c in
   Alcotest.(check bool) "recording does not perturb the run" true (natural = plain);
   let d = Adversary.tape_decisions tape in
   let len = Array.length d in
   Alcotest.(check bool) "the run consulted the adversary" true (len > 0);
   let full = List.init len (fun i -> (i, d.(i))) in
-  let replayed = Check.Runner.run ~replay:(len, full) ~registry c in
+  let replayed = Check.Runner.run ~control:(Replay (len, full)) ~registry c in
   Alcotest.(check bool) "full-override replay is bit-identical" true (natural = replayed);
-  let zero = Check.Runner.run ~replay:(0, []) ~registry c in
+  let zero = Check.Runner.run ~control:(Replay (0, [])) ~registry c in
   Alcotest.(check bool) "len=0 replay falls through to the natural run" true (natural = zero)
 
 (* ------------------------------------------------------------------ *)
@@ -324,7 +324,7 @@ let test_corpus_coverage_digest_pinned () =
   let r = Check.Repro.load ~path in
   let outcome =
     Check.Runner.run
-      ~replay:(r.Check.Repro.len, r.Check.Repro.overrides)
+      ~control:(Replay (r.Check.Repro.len, r.Check.Repro.overrides))
       ~registry:Check.Runner.default_registry r.Check.Repro.config
   in
   let digest = Obs.Coverage.digest outcome.Check.Runner.coverage in
@@ -397,6 +397,108 @@ let test_corpus_replays () =
             (Printf.sprintf "%s: verdict mismatch: %s" path (String.concat "; " mismatches)))
     files
 
+(* ------------------------------------------------------------------ *)
+(* Malformed artifacts *)
+
+let corpus_path name =
+  if Sys.file_exists (Filename.concat "corpus" name) then Filename.concat "corpus" name
+  else Filename.concat "test/corpus" name
+
+(* A crash or handicap pid outside the topology used to load fine and
+   then never apply, so the artifact replayed "OK" as a different run.
+   Each bad variant is re-saved through Repro.save, so its digest is
+   valid and only the config check can refuse it. *)
+let test_malformed_artifacts_rejected () =
+  let r = Check.Repro.load ~path:(corpus_path "family-sync.json") in
+  let c = r.Check.Repro.config in
+  List.iter
+    (fun (config, expected) ->
+      let path = Filename.temp_file "dinersim-bad" ".json" in
+      Check.Repro.save ~path
+        (Check.Repro.v ~config ~len:r.Check.Repro.len ~overrides:r.Check.Repro.overrides
+           ~checks:r.Check.Repro.checks);
+      let got = match Check.Repro.load ~path with _ -> "accepted" | exception Failure m -> m in
+      Sys.remove path;
+      Alcotest.(check string) "rejected with a message" expected got)
+    [
+      ( { c with Check.Config.crashes = [ (9, 100) ] },
+        "Config.of_json: crash 9@100: pid 9 is out of range for n=6 (expected 0..5)" );
+      ( { c with Check.Config.crashes = [ (2, -5) ] },
+        "Config.of_json: crash 2@-5: tick -5 is negative" );
+      ( { c with Check.Config.handicap = Some ([ 6 ], 50) },
+        "Config.of_json: handicap pid 6 is out of range for n=6" );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Async + handicap campaign violations are ◇P convergence effects *)
+
+(* The violations `dinersim fuzz --seed S` reports for seeds 706, 1004 and
+   1516285180 (runs 83, 53 and 279), copied from their VIOLATION lines.
+   Each slows one process that never crashes. *)
+let async_handicap_findings =
+  let v algo topology max_delay step_prob_pct slow factor horizon eat_ticks seed =
+    {
+      Check.Config.algo;
+      topology;
+      adversary = Check.Config.Async { max_delay; step_prob_pct };
+      crashes = [];
+      handicap = Some ([ slow ], factor);
+      horizon;
+      eat_ticks;
+      seed;
+    }
+  in
+  [
+    v "wf" (Check.Config.Path 6) 14 50 2 50 4500 1 0xe53923a9789d7966L;
+    v "kfair" (Check.Config.Clique 5) 7 60 1 30 4500 2 0x54ec35a8783be511L;
+    v "kfair" Check.Config.Pair 2 70 1 50 3000 3 0x67766861a9594747L;
+  ]
+
+(* Under async delays of up to max_delay, the heartbeat ◇P still makes
+   false suspicions of the slowed process late in the run; WF-◇WX lets a
+   diner eat on a fork it suspects, so ◇WX fails. Pin that every late
+   overlap starts within max_delay ticks after such a suspicion: the
+   violations are the detector not having converged by horizon/2, not a
+   dining bug. *)
+let test_async_handicap_findings () =
+  List.iter
+    (fun (c : Check.Config.t) ->
+      let outcome, trace = Check.Runner.run_traced ~registry:Check.Runner.default_registry c in
+      let name = Check.Config.describe c in
+      Alcotest.(check (list string)) (name ^ ": ◇WX fails") [ "eventual_weak_exclusion" ]
+        outcome.Check.Runner.failed;
+      let slow, max_delay =
+        match (c.Check.Config.handicap, c.Check.Config.adversary) with
+        | Some ([ slow ], _), Check.Config.Async { max_delay; _ } -> (slow, max_delay)
+        | _ -> assert false
+      in
+      let suspicions = ref [] in
+      Trace.iter trace (fun e ->
+          match e.Trace.ev with
+          | Trace.Suspect { detector = "evp"; target; _ } when target = slow ->
+              suspicions := e.Trace.at :: !suspicions
+          | _ -> ());
+      let horizon = c.Check.Config.horizon in
+      let r =
+        Dining.Monitor.finish
+          (Trace.Phases.of_trace trace ~instance:Check.Runner.instance)
+          ~horizon
+      in
+      let late =
+        List.filter
+          (fun (v : Dining.Monitor.violation) -> v.Dining.Monitor.at >= horizon / 2)
+          (Dining.Monitor.Run.exclusion_violations r ~graph:(Check.Config.graph c))
+      in
+      Alcotest.(check bool) (name ^ ": late overlaps exist") true (late <> []);
+      List.iter
+        (fun (v : Dining.Monitor.violation) ->
+          let at = v.Dining.Monitor.at in
+          if not (List.exists (fun t -> t <= at && at - t <= max_delay) !suspicions) then
+            Alcotest.failf "%s: overlap p%d/p%d at %d follows no suspicion of p%d" name
+              v.Dining.Monitor.p v.Dining.Monitor.q at slow)
+        late)
+    async_handicap_findings
+
 let () =
   Alcotest.run "check"
     [
@@ -405,6 +507,8 @@ let () =
           Alcotest.test_case "generator deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "json roundtrip" `Quick test_config_json_roundtrip;
           Alcotest.test_case "crash tolerance respected" `Quick test_crash_tolerance_respected;
+          Alcotest.test_case "malformed artifacts rejected" `Quick
+            test_malformed_artifacts_rejected;
         ] );
       ( "replay",
         [
@@ -416,6 +520,8 @@ let () =
           Alcotest.test_case "real algorithms pass" `Slow test_real_algorithms_pass;
           Alcotest.test_case "broken variant caught, shrink deterministic" `Slow
             test_broken_variant_caught_and_shrunk;
+          Alcotest.test_case "async+handicap findings follow false suspicions" `Quick
+            test_async_handicap_findings;
         ] );
       ( "pool",
         [

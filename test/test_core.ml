@@ -108,16 +108,22 @@ let test_registry_pinned () =
     "registry names, in order" (List.map fst pinned)
     (List.map fst Core.Scenario.default_registry);
   List.iter
-    (fun (algo, builder) ->
-      let graph = Graphs.Conflict_graph.ring ~n:5 in
-      let engine =
-        Engine.create ~seed:7L ~n:5 ~adversary:(Adversary.partial_sync ~gst:500 ()) ()
+    (fun (algo, _) ->
+      let ran =
+        Check.Runner.exec ~registry:Core.Scenario.default_registry
+          {
+            Check.Runner.algo;
+            graph = Graphs.Conflict_graph.ring ~n:5;
+            adversary = Adversary.partial_sync ~gst:500 ();
+            crashes = [ (1, 1500) ];
+            eat_ticks = 3;
+            horizon = 4000;
+            seed = 7L;
+            instance = "din";
+          }
       in
-      builder engine ~graph ~instance:"din" ~eat_ticks:3;
-      Engine.schedule_crash engine 1 ~at:1500;
-      Engine.run engine ~until:4000;
       Alcotest.(check string) ("pinned trace digest of " ^ algo) (List.assoc algo pinned)
-        (digest engine))
+        (digest ran.Check.Runner.engine))
     Core.Scenario.default_registry
 
 let test_ctm_pinned () =
@@ -238,7 +244,8 @@ let test_cmdline_check_crashes () =
   ok [ (0, 0); (4, 100); (4, 50) ];
   bad [ (1, 10); (9, 100) ] "crash 9@100: pid 9 is out of range for n=5 (expected 0..4)";
   bad [ (5, 3) ] "crash 5@3: pid 5 is out of range for n=5 (expected 0..4)";
-  bad [ (-1, 3); (7, 1) ] "crash -1@3: pid -1 is out of range for n=5 (expected 0..4)"
+  bad [ (-1, 3); (7, 1) ] "crash -1@3: pid -1 is out of range for n=5 (expected 0..4)";
+  bad [ (2, -4); (9, 1) ] "crash 2@-4: tick -4 is negative"
 
 let () =
   Alcotest.run "core"

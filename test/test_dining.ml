@@ -460,11 +460,9 @@ let test_wf_ewx_random_graph_regression () =
     (fun s ->
       let seed = Int64.of_int (s * 1111) in
       let graph = Graphs.Conflict_graph.random ~n:6 ~p:0.5 ~rng:(Prng.create seed) in
-      let run =
-        Core.Scenario.wf_dining ~seed ~adversary:(Adversary.partial_sync ~gst:300 ()) ~graph ()
+      let trace =
+        Scen.registry_wf_trace ~adversary:(Adversary.partial_sync ~gst:300 ()) ~seed ~graph 10000
       in
-      Engine.run run.Core.Scenario.engine ~until:10000;
-      let trace = Engine.trace run.Core.Scenario.engine in
       let wf = Dining.Monitor.wait_freedom trace ~instance:"dx" ~n:6 ~horizon:10000 ~slack:3000 in
       if not (holds wf) then
         Alcotest.failf "seed %Ld: %s" seed

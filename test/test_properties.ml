@@ -77,9 +77,7 @@ let prop_timeline_legal =
   QCheck2.Test.make ~name:"dining phases follow the 4-phase cycle" ~count:15 seed_gen
     (fun seed ->
       let graph = Graphs.Conflict_graph.ring ~n:4 in
-      let run = Core.Scenario.wf_dining ~seed ~graph () in
-      Engine.run run.Core.Scenario.engine ~until:4000;
-      let trace = Engine.trace run.Core.Scenario.engine in
+      let trace = Scen.registry_wf_trace ~seed ~graph 4000 in
       List.for_all
         (fun pid ->
           let tl = Trace.phase_timeline trace ~instance:"dx" ~pid ~horizon:4000 in
@@ -115,11 +113,9 @@ let prop_wf_dining_no_crash =
     QCheck2.Gen.(pair seed_gen graph_gen)
     (fun (seed, graph) ->
       let n = Graphs.Conflict_graph.n graph in
-      let run =
-        Core.Scenario.wf_dining ~seed ~adversary:(Adversary.partial_sync ~gst:300 ()) ~graph ()
+      let trace =
+        Scen.registry_wf_trace ~adversary:(Adversary.partial_sync ~gst:300 ()) ~seed ~graph 10000
       in
-      Engine.run run.Core.Scenario.engine ~until:10000;
-      let trace = Engine.trace run.Core.Scenario.engine in
       let wf = Dining.Monitor.wait_freedom trace ~instance:"dx" ~n ~horizon:10000 ~slack:3000 in
       let wx =
         Dining.Monitor.eventual_weak_exclusion trace ~instance:"dx" ~graph ~horizon:10000
@@ -132,15 +128,12 @@ let prop_wf_dining_with_crashes =
     QCheck2.Gen.(triple seed_gen (int_range 4 6) (int_range 500 3000))
     (fun (seed, n, crash_at) ->
       let graph = Graphs.Conflict_graph.ring ~n in
-      let run =
-        Core.Scenario.wf_dining ~seed ~adversary:(Adversary.partial_sync ~gst:300 ()) ~graph ()
-      in
-      let engine = run.Core.Scenario.engine in
       (* crash one or two diners *)
-      Engine.schedule_crash engine (n - 1) ~at:crash_at;
-      if n >= 5 then Engine.schedule_crash engine 1 ~at:(crash_at + 700);
-      Engine.run engine ~until:14000;
-      let trace = Engine.trace engine in
+      let crashes = (n - 1, crash_at) :: (if n >= 5 then [ (1, crash_at + 700) ] else []) in
+      let trace =
+        Scen.registry_wf_trace ~adversary:(Adversary.partial_sync ~gst:300 ()) ~crashes ~seed
+          ~graph 14000
+      in
       let wf = Dining.Monitor.wait_freedom trace ~instance:"dx" ~n ~horizon:14000 ~slack:4000 in
       let wx =
         Dining.Monitor.eventual_weak_exclusion trace ~instance:"dx" ~graph ~horizon:14000
@@ -153,9 +146,7 @@ let prop_wf_dining_fairness =
     QCheck2.Gen.(pair seed_gen (int_range 3 6))
     (fun (seed, n) ->
       let graph = Graphs.Conflict_graph.ring ~n:(max 3 n) in
-      let run = Core.Scenario.wf_dining ~seed ~graph () in
-      Engine.run run.Core.Scenario.engine ~until:10000;
-      let trace = Engine.trace run.Core.Scenario.engine in
+      let trace = Scen.registry_wf_trace ~seed ~graph 10000 in
       Dining.Monitor.fairness_index trace ~instance:"dx"
         ~pids:(List.init (Graphs.Conflict_graph.n graph) Fun.id)
       >= 0.7)
