@@ -77,11 +77,10 @@ sweep-smoke: build
 	dune exec stress/sweep.exe -- wf _build/sweep-smoke-wf.json -j $(J)
 	dune exec stress/sweep.exe -- kfair _build/sweep-smoke-kfair.json -j $(J)
 
-# Refresh the committed benchmark snapshot. Medians over --trials runs;
-# the extra trials execute on the worker pool, and the recorded `jobs`
-# field documents the pool width used for the refresh.
+# Refresh the committed benchmark snapshot. Medians over --trials runs,
+# executed one after another so that no trial contends with another.
 bench-smoke: build
-	dune exec bench/main.exe -- --trials 3 -j $(J)
+	dune exec bench/main.exe -- --trials 3
 
 # Engine scaling curve, n = 10^2..10^5 (ring of hygienic diners, fixed
 # total proc-tick budget — see DESIGN.md "Engine at scale"). Written to
@@ -90,7 +89,7 @@ bench-smoke: build
 # also live in the full suite, so regressions are gated there.
 bench-scale: build
 	dune exec bench/main.exe -- scale2 scale3 scale4 scale5 \
-		--trials 3 -j $(J) --out _build/bench-scale.json
+		--trials 3 --out _build/bench-scale.json
 
 # Perf-regression gate: stash the committed snapshot, run a fresh
 # bench-smoke (which overwrites BENCH_dining.json in place), and diff the

@@ -70,5 +70,6 @@ val generate : Prng.t -> algos:string list -> families:family list -> max_horizo
 (** Draw a random config. Knob ranges are calibrated so the monitored
     properties are expected to hold for the real algorithms (gst within the
     first quarter of the horizon, handicap factors >= 30%). Except under
-    [Async] with a handicap: a late false ◇P suspicion of the slowed
-    process can still break ◇WX, a convergence effect, not a dining bug. *)
+    [Async]: a late false ◇P suspicion of a correct neighbour (the slowed
+    process of a handicap, or, with crashes around it, one that is merely
+    unlucky) can still break ◇WX, a convergence effect, not a dining bug. *)

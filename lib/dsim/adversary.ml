@@ -53,14 +53,15 @@ let bursty ?(gst = 800) ?(calm = 60) ?(storm = 40) ?(storm_delay = 80) ?(delta =
 (* ------------------------------------------------------------------ *)
 (* Record / replay.
 
-   Both wrappers forward every query to the base adversary *first*, so the
-   engine-shared PRNG consumes exactly the draws the base would consume.
-   Recording therefore never perturbs the run it observes, and a replay
-   whose overrides equal the recorded decisions reproduces the recorded
-   run bit-identically — while a replay with *edited* decisions (the
-   shrinker's neutralised candidates) stays fully deterministic, because
-   the base draws are a deterministic function of the engine PRNG state
-   and the query sequence. *)
+   Both wrappers forward every query to the base adversary *first*, so
+   the querying process's stream (the engine hands each query the stream
+   of the process it concerns) gives up exactly the draws the base would
+   take. Recording therefore never perturbs the run it observes, and a
+   replay whose overrides equal the recorded decisions reproduces the
+   recorded run bit-identically — while a replay with *edited* decisions
+   (the shrinker's neutralised candidates) stays fully deterministic,
+   because the base draws are a deterministic function of each stream's
+   state and the query sequence. *)
 
 type decision = Delay of int | Step of bool
 
@@ -160,8 +161,9 @@ let drive controller base =
     delay =
       (fun rng ~now ~src ~dst ->
         (* Burn the base draws first, exactly like [record]: a driven run
-           and its full-override [replay] then consume identical PRNG
-           streams, so counterexample artifacts replay bit-identically. *)
+           and its full-override [replay] then consume every per-process
+           stream identically, so counterexample artifacts replay
+           bit-identically. *)
         let (_ : int) = base.delay rng ~now ~src ~dst in
         match controller (Delay_q { now; src; dst }) with
         | Delay d ->

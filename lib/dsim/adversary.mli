@@ -18,9 +18,11 @@
 type t = {
   name : string;
   delay : Prng.t -> now:Types.time -> src:Types.pid -> dst:Types.pid -> int;
-      (** Delivery delay (>= 1 ticks) assigned when a message is sent. *)
+      (** Delivery delay (>= 1 ticks) assigned when a message is sent. The
+          engine passes the sender's own stream. *)
   steps : Prng.t -> now:Types.time -> Types.pid -> bool;
-      (** Whether this live process is offered a step this tick. The engine
+      (** Whether this live process is offered a step this tick, drawn from
+          that process's own stream. The engine
           additionally forces a step after [fairness_bound] consecutive
           skipped ticks, so correct processes always take infinitely many
           steps. *)
@@ -65,9 +67,10 @@ val handicap : slow:Types.pid list -> factor:float -> t -> t
     choice an adversary makes during a run and (b) re-execute a run with
     some of those choices overridden (the shrinker's neutralised
     candidates). Both wrappers forward each query to the base adversary
-    {e first} — consuming exactly the PRNG draws the base would consume —
-    so recording never perturbs the run it observes, and replaying the full
-    recorded decision sequence reproduces the recorded run bit-identically. *)
+    {e first} — consuming from the querying process's stream exactly the
+    draws the base would — so recording never perturbs the run it
+    observes, and replaying the full recorded decision sequence reproduces
+    the recorded run bit-identically. *)
 
 type decision =
   | Delay of int  (** A delivery-delay choice, in ticks (>= 1). *)
@@ -111,8 +114,8 @@ val drive : (query -> decision) -> t -> t
 (** [drive controller base] answers every adversary query with
     [controller q]. The base adversary's decision is computed (and its
     PRNG draws burnt) {e first}, exactly as {!record} does — so a driven
-    run consumes the same engine PRNG stream as a {!replay} of the chosen
-    decisions, and a counterexample found by the explorer replays
+    run consumes every per-process stream exactly as a {!replay} of the
+    chosen decisions does, and a counterexample found by the explorer replays
     bit-identically from an ordinary full-override decision table. Raises
     [Invalid_argument] when the controller returns a decision of the wrong
     kind for the query, or a delay [< 1]. *)

@@ -5,7 +5,12 @@
     pattern: real protocols must never call it — it exists only for oracle
     implementations (the perfect and trusting detectors, which *model*
     failure detectors that are not implementable in pure asynchrony) and for
-    white-box monitors. *)
+    white-box monitors.
+
+    [rng] is the process's own stream, which the engine also draws the
+    process's step offers, message delays and inbox shuffles from; a
+    component's draws therefore shift the adversary's later draws for this
+    process only, never for another. *)
 
 type t = {
   self : Types.pid;

@@ -34,8 +34,12 @@ type delivery = Wheel of wheel | Refmap of refmap
 
 type proc = {
   pid : Types.pid;
+  rng : Prng.t;
+      (* this process's own stream, [Prng.derive seed ~index:pid]: its step
+         offers, the delays of the messages it sends, its inbox shuffles and
+         its components' [ctx.rng] all draw here, so no draw depends on the
+         order in which processes step within a tick *)
   mutable alive : bool;
-  mutable crash_at : Types.time option;
   components : Component.t Vec.t; (* registration order *)
   mutable flat_actions : (Component.t * Component.action) array;
   mutable cursor : int; (* weak-fairness rotation over flat_actions *)
@@ -50,7 +54,6 @@ and t = {
   n_procs : int;
   procs : proc array;
   adversary : Adversary.t;
-  prng : Prng.t;
   mutable clock : Types.time;
   delivery : delivery;
   mutable flight_count : int;
@@ -67,9 +70,12 @@ and t = {
          maintained incrementally at send / dead-destination discard /
          inbox drain / crash-time inbox clear, so per-tick monitors read
          it in O(1) instead of scanning every bucket and inbox *)
-  order : int array;
-      (* per-tick scheduling order scratch: rebuilt to the identity and
-         shuffled in place each tick, so [step] allocates no order array *)
+  mutable crashes : Types.pid list Types.Pidmap.t;
+      (* tick -> pids whose scheduled crash falls due then; popped at the
+         start of each tick, so pending crashes cost nothing per tick *)
+  permute : (Prng.t * int array) option;
+      (* test-only step-order seam (see [create]): the stream and scratch
+         of a per-tick permutation of the step order *)
 }
 
 (* 256 ticks of horizon covers every built-in adversary (delays are small
@@ -77,14 +83,15 @@ and t = {
    old O(log n) only for itself. *)
 let wheel_size = 256
 
-let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~adversary () =
+let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ?permute ~n
+    ~adversary () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
   let procs =
     Array.init n (fun pid ->
         {
           pid;
+          rng = Prng.derive seed ~index:pid;
           alive = true;
-          crash_at = None;
           components = Vec.create ();
           flat_actions = [||];
           cursor = 0;
@@ -108,7 +115,6 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     n_procs = n;
     procs;
     adversary;
-    prng = Prng.create seed;
     clock = 0;
     delivery;
     flight_count = 0;
@@ -121,13 +127,13 @@ let create ?(seed = 0xC0FFEEL) ?(retain_trace = true) ?(delivery = `Wheel) ~n ~a
     tag_count = 0;
     sent_tag = [||];
     pending_tag = [||];
-    order = Array.make n 0;
+    crashes = Types.Pidmap.empty;
+    permute = Option.map (fun s -> (Prng.create s, Array.make n 0)) permute;
   }
 
 let n t = t.n_procs
 let now t = t.clock
 let trace t = t.tr
-let rng t = t.prng
 
 let is_live t pid = t.procs.(pid).alive
 let live_count t = t.live_count
@@ -168,7 +174,7 @@ let send t ~src ~dst ~tag payload =
   (* Reliable channels: the message is assigned a finite delay at send time.
      If the destination crashes before delivery, the packet is discarded at
      delivery time (a crashed process takes no further steps anyway). *)
-  let delay = max 1 (t.adversary.Adversary.delay t.prng ~now:t.clock ~src ~dst) in
+  let delay = max 1 (t.adversary.Adversary.delay t.procs.(src).rng ~now:t.clock ~src ~dst) in
   let at = t.clock + delay in
   let tag_id = intern_tag t tag in
   let pkt = { src; dst; tag; tag_id; payload } in
@@ -206,7 +212,7 @@ let ctx t pid : Context.t =
     Context.self = pid;
     send = (fun ~dst ~tag m -> send t ~src:pid ~dst ~tag m);
     now = (fun () -> t.clock);
-    rng = t.prng;
+    rng = t.procs.(pid).rng;
     log = (fun ev -> Trace.append t.tr ~at:t.clock ev);
     is_live = (fun q -> is_live t q);
   }
@@ -260,10 +266,12 @@ let register t pid comp =
   Vec.add_last p.components comp;
   reflatten p
 
+(* A pid may sit under several ticks; the earliest one crashes it and the
+   later ones find it already dead, so the earliest schedule wins. *)
 let schedule_crash t pid ~at =
-  let p = t.procs.(pid) in
-  p.crash_at <-
-    (match p.crash_at with Some old -> Some (min old at) | None -> Some at)
+  if pid < 0 || pid >= t.n_procs then invalid_arg "Engine.schedule_crash: bad pid";
+  let due = Option.value ~default:[] (Types.Pidmap.find_opt at t.crashes) in
+  t.crashes <- Types.Pidmap.add at (pid :: due) t.crashes
 
 let do_crash t (p : proc) =
   if p.alive then begin
@@ -417,16 +425,47 @@ let rec scan_action (p : proc) acts m k =
     else scan_action p acts m (k + 1)
   end
 
+(* Insert [pkt] into the sorted batch.(0 .. j), shifting larger senders
+   up one slot; equal senders stay ahead of it, so the sort is stable. *)
+let rec insert_by_src batch pkt j =
+  if j >= 0 && batch.(j).src > pkt.src then begin
+    batch.(j + 1) <- batch.(j);
+    insert_by_src batch pkt (j - 1)
+  end
+  else batch.(j + 1) <- pkt
+
+let compare_src a b = Int.compare a.src b.src
+
+(* Stable sort of batch.(0 .. len-1) by sender. Insertion sort for the
+   usual handful of packets (no allocation, linear on sorted input); a
+   library merge sort on a copy for a large batch (a hub flooded by many
+   senders), where insertion sort would be quadratic. *)
+let sort_by_src batch ~len =
+  if len <= 64 then
+    for i = 1 to len - 1 do
+      insert_by_src batch batch.(i) (i - 1)
+    done
+  else begin
+    (* simlint: allow D011 — only batches above 64 packets take this path *)
+    let sorted = Array.sub batch 0 len in
+    Array.stable_sort compare_src sorted;
+    Array.blit sorted 0 batch 0 len
+  end
+
 (* simlint: hotpath *)
 let step_process t (p : proc) =
   p.last_step <- t.clock;
   let pending = Vec.length p.inbox in
   if pending > 0 then begin
     (* Non-FIFO: consume in a randomly shuffled order. Only the packets
-       present at the start of the step are delivered in it. The batch
+       present at the start of the step are delivered in it. The inbox
+       holds packets in delivery order, which for one delivery tick is
+       the order their senders stepped in; a stable sort by sender first
+       makes the batch canonical, so the shuffle from this process's own
+       stream is the same whatever order the senders stepped in. The batch
        lives in per-process scratch reused across steps; [shuffle_prefix]
-       draws exactly what [shuffle] on a fresh [pending]-sized array drew,
-       so replay digests are unchanged. *)
+       draws exactly what [shuffle] on a fresh [pending]-sized array
+       draws. *)
     if Array.length p.batch < pending then
       (* simlint: allow D011 — amortised geometric scratch growth, not a per-step cost *)
       p.batch <- Array.make (max 8 (2 * pending)) (Vec.get p.inbox 0);
@@ -439,7 +478,8 @@ let step_process t (p : proc) =
       t.pending_tag.(pkt.tag_id) <- t.pending_tag.(pkt.tag_id) - 1
     done;
     Vec.clear p.inbox;
-    Prng.shuffle_prefix t.prng p.batch ~len:pending;
+    sort_by_src p.batch ~len:pending;
+    Prng.shuffle_prefix p.rng p.batch ~len:pending;
     for i = 0 to pending - 1 do
       if p.alive then route_receive p p.batch.(i)
     done
@@ -450,34 +490,57 @@ let step_process t (p : proc) =
     if m > 0 then scan_action p acts m 0
   end
 
+let rec crash_all t = function
+  | [] -> ()
+  | pid :: rest ->
+      do_crash t t.procs.(pid);
+      crash_all t rest
+
+(* Crashes due at or before this tick, in ascending pid order (a crash
+   scheduled for a past tick falls due at the next one). *)
+let rec pop_crashes t due =
+  match Types.Pidmap.min_binding_opt t.crashes with
+  | Some (at, pids) when at <= t.clock ->
+      t.crashes <- Types.Pidmap.remove at t.crashes;
+      (* simlint: allow D011 — only on a tick with crashes due *)
+      pop_crashes t (List.rev_append pids due)
+  | Some _ | None -> (
+      match due with
+      | [] -> ()
+      | _ :: _ ->
+          (* simlint: allow D011 — only on a tick with crashes due *)
+          crash_all t (List.sort_uniq Int.compare due))
+
+(* simlint: hotpath *)
+let offer_step t (p : proc) =
+  if p.alive then begin
+    let offered = t.adversary.Adversary.steps p.rng ~now:t.clock p.pid in
+    let forced = t.clock - p.last_step >= t.adversary.Adversary.fairness_bound in
+    if offered || forced then step_process t p
+  end
+
 (* simlint: hotpath *)
 let step t =
   t.clock <- t.clock + 1;
-  for i = 0 to t.n_procs - 1 do
-    let p = t.procs.(i) in
-    match p.crash_at with
-    | Some at when at <= t.clock -> do_crash t p
-    | Some _ | None -> ()
-  done;
+  pop_crashes t [];
   (match t.delivery with Wheel w -> turn_wheel t w | Refmap r -> deliver_ref t r);
-  (* Steps within a tick run in adversary-shuffled order: a fixed pid order
-     would systematically favour low pids in same-tick interactions, which
-     asynchrony does not promise anyone. The identity order is rebuilt in
-     place in per-engine scratch each tick — same draws, same permutation
-     as shuffling a fresh [Array.init n Fun.id], without the allocation. *)
-  let order = t.order in
-  for i = 0 to t.n_procs - 1 do
-    order.(i) <- i
-  done;
-  Prng.shuffle t.prng order;
-  for i = 0 to t.n_procs - 1 do
-    let p = t.procs.(order.(i)) in
-    if p.alive then begin
-      let offered = t.adversary.Adversary.steps t.prng ~now:t.clock p.pid in
-      let forced = t.clock - p.last_step >= t.adversary.Adversary.fairness_bound in
-      if offered || forced then step_process t p
-    end
-  done;
+  (* Steps within a tick cannot affect each other: every delay is at least
+     one tick, crashes settle before the steps, and each process draws only
+     from its own stream. So pid order is as faithful as any other order,
+     and it walks [procs] sequentially. *)
+  (match t.permute with
+  | None ->
+      for i = 0 to t.n_procs - 1 do
+        offer_step t t.procs.(i)
+      done
+  | Some (rng, order) ->
+      for i = 0 to t.n_procs - 1 do
+        order.(i) <- i
+      done;
+      Prng.shuffle rng order;
+      for i = 0 to t.n_procs - 1 do
+        offer_step t t.procs.(order.(i))
+      done);
   Vec.iter (fun f -> f ()) t.hooks
 
 let run t ~until =

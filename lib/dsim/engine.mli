@@ -3,9 +3,10 @@
     Implements the system model of Section 4 of the paper:
 
     - a finite set of processes [0 .. n-1] executing atomic steps: in each
-      step a process receives at most one pending message and executes at
-      most one enabled guarded action (interleaving semantics, with a
-      rotating cursor providing weak fairness across a process's actions);
+      step a process receives the messages pending at its start, in a
+      shuffled order, and executes at most one enabled guarded action
+      (interleaving semantics, with a rotating cursor providing weak
+      fairness across a process's actions);
     - reliable non-FIFO channels: every message sent to a correct process is
       eventually delivered exactly once, uncorrupted; delivery delays are
       chosen by the {!Adversary}; messages to crashed processes vanish;
@@ -14,8 +15,13 @@
       except through their local [now] capability, which models local
       step-counting rather than global time.
 
-    All nondeterminism derives from a single seeded {!Prng}, so runs are
-    exactly reproducible. *)
+    All nondeterminism derives from the seed, so runs are exactly
+    reproducible. Each process [p] owns the stream [Prng.derive seed
+    ~index:p]: its step offers, the delays of the messages it sends, the
+    shuffle of its drained inbox and its components' [Context.rng] all
+    draw there, and nothing else does. Within a tick processes step in pid
+    order; since no draw is shared and every delay is at least one tick,
+    any other order yields the same per-process behaviour. *)
 
 type t
 
@@ -23,6 +29,7 @@ val create :
   ?seed:int64 ->
   ?retain_trace:bool ->
   ?delivery:[ `Wheel | `Reference ] ->
+  ?permute:int64 ->
   n:int ->
   adversary:Adversary.t ->
   unit ->
@@ -36,12 +43,17 @@ val create :
     beyond the horizon, or [`Reference], the previous tree-map of buckets.
     The two are observationally identical (same traces, same PRNG draws,
     same delivery order — property-tested in [test/test_scale.ml]);
-    [`Reference] exists only as the oracle for that differential test. *)
+    [`Reference] exists only as the oracle for that differential test.
+
+    [permute], when given, steps the processes of each tick in an order
+    shuffled from a stream seeded by it, instead of pid order. Per-process
+    event sequences and message counts must not change (property-tested in
+    [test/test_dsim.ml]); like [`Reference], it exists only as the oracle
+    for that test. *)
 
 val n : t -> int
 val now : t -> Types.time
 val trace : t -> Trace.t
-val rng : t -> Prng.t
 
 val ctx : t -> Types.pid -> Context.t
 (** Capability bundle for building components at process [pid]. *)

@@ -1,8 +1,15 @@
-type t = { mutable state : int64 }
+(* The state is an unboxed 8-byte buffer rather than a [mutable int64]
+   field: an engine holds one generator per process, and at n = 10^5 a
+   boxed field would promote a fresh boxed int64 per drawing process at
+   every minor collection. The output stream is the same either way. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let create seed =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 seed;
+  b
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -14,8 +21,9 @@ let mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let split t = create (next_int64 t)
 

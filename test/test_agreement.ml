@@ -125,7 +125,7 @@ let test_consensus_trace_pinned () =
   let a = run () in
   check "replay is bit-identical" true (a = run ());
   Alcotest.(check string)
-    "pinned trace digest for seed 77" "4dac5952070e79639dd065e2cff5276f"
+    "pinned trace digest for seed 77" "2999fda78f04c58fb687592f595bb2b1"
     (Digest.to_hex (Digest.string a))
 
 (* ------------------------------------------------------------------ *)

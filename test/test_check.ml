@@ -312,7 +312,7 @@ let test_coverage_knob_sensitivity () =
    decision overrides. Pinned like pinned_broken_digest above: it only
    changes when the engine, the trace vocabulary or the coverage hash
    change — regenerate the corpus and update the constant then. *)
-let pinned_sync_coverage_digest = "8e56ee1a311381cdbe65d1873832b171"
+let pinned_sync_coverage_digest = "a37b2fc256da405cc4996fc88163e6d3"
 
 let test_corpus_coverage_digest_pinned () =
   (* Under `dune runtest` the corpus is a sandbox dep next to the binary;
@@ -430,53 +430,60 @@ let test_malformed_artifacts_rejected () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Async + handicap campaign violations are ◇P convergence effects *)
+(* Async campaign violations are ◇P convergence effects *)
 
-(* The violations `dinersim fuzz --seed S` reports for seeds 706, 1004 and
-   1516285180 (runs 83, 53 and 279), copied from their VIOLATION lines.
-   Each slows one process that never crashes. *)
-let async_handicap_findings =
-  let v algo topology max_delay step_prob_pct slow factor horizon eat_ticks seed =
+(* The violations `dinersim fuzz --runs 300 --seed S` reports for the
+   seeds S in 700..800, copied from their VIOLATION lines: seeds 701, 707
+   and 744 (runs 88, 266 and 159) slow one process that never crashes;
+   seed 703 (run 127) has no handicap, only two crashes. *)
+let async_handicap_findings, async_crash_findings =
+  let v algo topology max_delay step_prob_pct crashes handicap horizon eat_ticks seed =
     {
       Check.Config.algo;
       topology;
       adversary = Check.Config.Async { max_delay; step_prob_pct };
-      crashes = [];
-      handicap = Some ([ slow ], factor);
+      crashes;
+      handicap;
       horizon;
       eat_ticks;
       seed;
     }
   in
-  [
-    v "wf" (Check.Config.Path 6) 14 50 2 50 4500 1 0xe53923a9789d7966L;
-    v "kfair" (Check.Config.Clique 5) 7 60 1 30 4500 2 0x54ec35a8783be511L;
-    v "kfair" Check.Config.Pair 2 70 1 50 3000 3 0x67766861a9594747L;
-  ]
+  ( [
+      v "kfair" (Check.Config.Star 5) 10 50 [] (Some ([ 4 ], 70)) 4500 3 0x9eef75ae956eddebL;
+      v "wf" (Check.Config.Star 5) 5 60 [ (1, 325); (3, 304) ] (Some ([ 4 ], 50)) 4500 3
+        0x7e9be39d4f45dda3L;
+      v "wf" (Check.Config.Ring 6) 13 80 [] (Some ([ 1 ], 50)) 6000 4 0xf4f6b1bfce34da54L;
+    ],
+    [ v "wf" (Check.Config.Path 4) 15 50 [ (0, 2095); (3, 494) ] None 6000 4 0x57887e51f15c1bbdL ]
+  )
 
 (* Under async delays of up to max_delay, the heartbeat ◇P still makes
-   false suspicions of the slowed process late in the run; WF-◇WX lets a
+   false suspicions late in the run — of a slowed process, or, with
+   neighbours crashed, of a merely unlucky one; WF-◇WX and k-fair let a
    diner eat on a fork it suspects, so ◇WX fails. Pin that every late
-   overlap starts within max_delay ticks after such a suspicion: the
+   overlap of p and q starts within max_delay ticks after p suspected q or
+   q suspected p, where the suspected process never crashes: the
    violations are the detector not having converged by horizon/2, not a
    dining bug. *)
-let test_async_handicap_findings () =
+let check_async_findings configs =
   List.iter
     (fun (c : Check.Config.t) ->
       let outcome, trace = Check.Runner.run_traced ~registry:Check.Runner.default_registry c in
       let name = Check.Config.describe c in
       Alcotest.(check (list string)) (name ^ ": ◇WX fails") [ "eventual_weak_exclusion" ]
         outcome.Check.Runner.failed;
-      let slow, max_delay =
-        match (c.Check.Config.handicap, c.Check.Config.adversary) with
-        | Some ([ slow ], _), Check.Config.Async { max_delay; _ } -> (slow, max_delay)
+      let max_delay =
+        match c.Check.Config.adversary with
+        | Check.Config.Async { max_delay; _ } -> max_delay
         | _ -> assert false
       in
+      let correct q = not (List.mem_assoc q c.Check.Config.crashes) in
       let suspicions = ref [] in
       Trace.iter trace (fun e ->
           match e.Trace.ev with
-          | Trace.Suspect { detector = "evp"; target; _ } when target = slow ->
-              suspicions := e.Trace.at :: !suspicions
+          | Trace.Suspect { detector = "evp"; owner; target } when correct target ->
+              suspicions := (e.Trace.at, owner, target) :: !suspicions
           | _ -> ());
       let horizon = c.Check.Config.horizon in
       let r =
@@ -492,12 +499,16 @@ let test_async_handicap_findings () =
       Alcotest.(check bool) (name ^ ": late overlaps exist") true (late <> []);
       List.iter
         (fun (v : Dining.Monitor.violation) ->
-          let at = v.Dining.Monitor.at in
-          if not (List.exists (fun t -> t <= at && at - t <= max_delay) !suspicions) then
-            Alcotest.failf "%s: overlap p%d/p%d at %d follows no suspicion of p%d" name
-              v.Dining.Monitor.p v.Dining.Monitor.q at slow)
+          let at = v.Dining.Monitor.at and p = v.Dining.Monitor.p and q = v.Dining.Monitor.q in
+          let explains (t, owner, target) =
+            t <= at && at - t <= max_delay
+            && ((owner = p && target = q) || (owner = q && target = p))
+          in
+          if not (List.exists explains !suspicions) then
+            Alcotest.failf "%s: overlap p%d/p%d at %d follows no false suspicion between them"
+              name p q at)
         late)
-    async_handicap_findings
+    configs
 
 let () =
   Alcotest.run "check"
@@ -521,7 +532,9 @@ let () =
           Alcotest.test_case "broken variant caught, shrink deterministic" `Slow
             test_broken_variant_caught_and_shrunk;
           Alcotest.test_case "async+handicap findings follow false suspicions" `Quick
-            test_async_handicap_findings;
+            (fun () -> check_async_findings async_handicap_findings);
+          Alcotest.test_case "async crash finding follows false suspicions" `Quick
+            (fun () -> check_async_findings async_crash_findings);
         ] );
       ( "pool",
         [

@@ -600,7 +600,7 @@ let test_engine_trace_digest_pinned () =
   let a = run () in
   check "replay is bit-identical" true (a = run ());
   Alcotest.(check string)
-    "pinned engine trace digest for seed 0xD161757" "6ea50c1608b4b92d51ff0745860a5b84"
+    "pinned engine trace digest for seed 0xD161757" "ccf8ce2e7bdf00aa1442fcb7416fb7d5"
     (Digest.to_hex (Digest.string a))
 
 let test_graph_random_valid () =

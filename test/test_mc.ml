@@ -90,9 +90,9 @@ let test_exhaustive_superset_of_random_tapes () =
 let pinned_por_instance = ("hygienic", 8, 1, 3)
 let pinned_full_schedules = 22201
 let pinned_full_violations = 22041
-let pinned_por_schedules = 4530
-let pinned_por_pruned = 1048
-let pinned_por_violations = 4454
+let pinned_por_schedules = 5706
+let pinned_por_pruned = 1394
+let pinned_por_violations = 5594
 
 let failed_name_set (r : Mc.Explore.result) =
   List.sort_uniq String.compare

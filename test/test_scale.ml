@@ -1,4 +1,5 @@
-(* Large-n stack-safety and delivery-structure equivalence.
+(* Large-n stack-safety, delivery-structure equivalence and step-order
+   independence.
 
    The engine's in-flight structure is a bucketed timing wheel; the
    previous tree-map-of-buckets implementation survives as the
@@ -7,7 +8,11 @@
    randomized instances produce byte-identical traces under both modes
    (including past the wheel horizon, where the overflow map migrates),
    the incremental in-flight counters match the brute-force scan at every
-   tick, and campaign reports stay byte-identical at any worker count. *)
+   tick, and campaign reports stay byte-identical at any worker count.
+
+   The engine steps each tick's processes in pid order; the [~permute]
+   seam steps them in a random order instead, and every registry
+   algorithm must behave the same per process under both. *)
 
 open Dsim
 
@@ -122,6 +127,158 @@ let test_overflow_delivers_exactly_once () =
   check_int "nothing left in flight" 0 (Engine.in_flight_total engine)
 
 (* ------------------------------------------------------------------ *)
+(* Pid order vs permuted step order *)
+
+type order_case = {
+  algo : string;
+  topology : [ `Ring of int | `Clique of int | `Grid of int * int ];
+  adversary : [ `Partial | `Async | `Bursty | `Dls ];
+  crash : (Types.pid * Types.time) option;
+  seed : int64;
+  permute : int64;
+}
+
+let order_horizon = 1200
+
+let order_graph = function
+  | `Ring n -> Graphs.Conflict_graph.ring ~n
+  | `Clique n -> Graphs.Conflict_graph.clique ~n
+  | `Grid (rows, cols) -> Graphs.Conflict_graph.grid ~rows ~cols
+
+let order_adversary = function
+  | `Partial -> Adversary.partial_sync ~gst:300 ()
+  | `Async -> Adversary.async_uniform ()
+  | `Bursty -> Adversary.bursty ~gst:600 ~calm:50 ~storm:30 ()
+  | `Dls -> Adversary.dls ~delta:3 ~phi:2 ()
+
+let order_case_gen =
+  let open QCheck2.Gen in
+  let* algo = oneofl (List.map fst Core.Scenario.default_registry)
+  and* topology =
+    oneof
+      [
+        map (fun n -> `Ring n) (int_range 3 6);
+        map (fun n -> `Clique n) (int_range 3 5);
+        map (fun c -> `Grid (2, c)) (int_range 2 3);
+      ]
+  and* adversary = oneofl [ `Partial; `Async; `Bursty; `Dls ]
+  and* crash_at = opt (int_range 1 (order_horizon / 2))
+  and* crash_pid = int_range 0 5
+  and* seed = map Int64.of_int (int_range 0 1_000_000)
+  and* permute = map Int64.of_int (int_range 0 1_000_000) in
+  let n = Graphs.Conflict_graph.n (order_graph topology) in
+  let crash = Option.map (fun at -> (crash_pid mod n, at)) crash_at in
+  return { algo; topology; adversary; crash; seed; permute }
+
+let describe_order_case c =
+  Printf.sprintf "%s on %s under %s, crash %s, seed %Ld, permute %Ld" c.algo
+    (match c.topology with
+    | `Ring n -> Printf.sprintf "ring:%d" n
+    | `Clique n -> Printf.sprintf "clique:%d" n
+    | `Grid (r, k) -> Printf.sprintf "grid:%dx%d" r k)
+    (order_adversary c.adversary).Adversary.name
+    (match c.crash with Some (p, at) -> Printf.sprintf "%d@%d" p at | None -> "none")
+    c.seed c.permute
+
+(* The pid an event belongs to: the process that logged it. *)
+let actor = function
+  | Trace.Transition { pid; _ } | Trace.Crash { pid } | Trace.Note { pid; _ } -> pid
+  | Trace.Suspect { owner; _ } | Trace.Trust { owner; _ } -> owner
+
+(* Each process's events in order, rendered, plus the message count and
+   the trace length. *)
+let run_order_case ?permute c =
+  let graph = order_graph c.topology in
+  let n = Graphs.Conflict_graph.n graph in
+  let engine =
+    Engine.create ~seed:c.seed ?permute ~n ~adversary:(order_adversary c.adversary) ()
+  in
+  let builder = Result.get_ok (Core.Scenario.find Core.Scenario.default_registry c.algo) in
+  builder engine ~graph ~instance:"ord" ~eat_ticks:2;
+  Option.iter (fun (pid, at) -> Engine.schedule_crash engine pid ~at) c.crash;
+  Engine.run engine ~until:order_horizon;
+  let per_pid = Array.make n [] in
+  Trace.iter (Engine.trace engine) (fun e ->
+      let p = actor e.Trace.ev in
+      per_pid.(p) <- Format.asprintf "%a" Trace.pp_entry e :: per_pid.(p));
+  (Array.map List.rev per_pid, Engine.sent_total engine, Trace.length (Engine.trace engine))
+
+let prop_step_order_unobservable =
+  QCheck2.Test.make ~name:"permuted step order changes no process's run" ~count:200
+    ~print:describe_order_case order_case_gen (fun c ->
+      let pid_events, pid_sent, pid_len = run_order_case c in
+      let perm_events, perm_sent, perm_len = run_order_case ~permute:c.permute c in
+      Array.iteri
+        (fun p evs ->
+          if evs <> perm_events.(p) then
+            QCheck2.Test.fail_reportf "p%d's events differ under the permuted order" p)
+        pid_events;
+      if pid_sent <> perm_sent then
+        QCheck2.Test.fail_reportf "sent_total %d in pid order, %d permuted" pid_sent perm_sent;
+      if pid_len <> perm_len then
+        QCheck2.Test.fail_reportf "trace length %d in pid order, %d permuted" pid_len perm_len;
+      true)
+
+(* A hub drains batches above 64 packets, the size where the drain's
+   sort switches from insertion to merge sort; under a permuted order the
+   batch arrives unsorted, so both sorts are exercised. 99 senders send
+   p0 five numbered messages each; p0 logs what it receives, in order. *)
+let test_large_batch_order_independent () =
+  let n = 100 in
+  let run ?permute () =
+    let engine =
+      Engine.create ~seed:5L ?permute ~n ~adversary:(Adversary.async_uniform ~max_delay:3 ()) ()
+    in
+    for pid = 0 to n - 1 do
+      let ctx = Engine.ctx engine pid in
+      let sent = ref 0 in
+      Engine.register engine pid
+        (Component.make ~name:"hub"
+           ~actions:
+             [
+               Component.action "send"
+                 ~guard:(fun () -> pid > 0 && !sent < 5)
+                 ~body:(fun () ->
+                   incr sent;
+                   ctx.Context.send ~dst:0 ~tag:"hub" (Msg.Int_msg !sent));
+             ]
+           ~on_receive:(fun ~src m ->
+             let k = match m with Msg.Int_msg k -> k | _ -> -1 in
+             ctx.Context.log (Trace.Note { pid; label = "got"; info = Printf.sprintf "%d.%d" src k }))
+           ())
+    done;
+    Engine.run engine ~until:40;
+    Trace.entries (Engine.trace engine)
+  in
+  let pid_order = run () in
+  let per_tick = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let c = Option.value ~default:0 (Hashtbl.find_opt per_tick e.Trace.at) in
+      Hashtbl.replace per_tick e.Trace.at (c + 1))
+    pid_order;
+  check "some drained batch exceeds 64 packets" true
+    (Hashtbl.fold (fun _ c acc -> acc || c > 64) per_tick false);
+  check_int "every message received" (99 * 5) (List.length pid_order);
+  check "same receive order under a permuted step order" true (pid_order = run ~permute:7L ())
+
+(* The permuted order really is another order: some process's events
+   interleave differently in the global trace. *)
+let test_permute_reorders_trace () =
+  let c =
+    { algo = "wf"; topology = `Ring 5; adversary = `Partial; crash = None; seed = 3L; permute = 11L }
+  in
+  let csv ?permute () =
+    let graph = order_graph c.topology in
+    let engine = Engine.create ~seed:c.seed ?permute ~n:5 ~adversary:(order_adversary c.adversary) () in
+    (Result.get_ok (Core.Scenario.find Core.Scenario.default_registry c.algo))
+      engine ~graph ~instance:"ord" ~eat_ticks:2;
+    Engine.run engine ~until:order_horizon;
+    Trace.to_csv (Engine.trace engine)
+  in
+  check "global interleaving differs" true (csv () <> csv ~permute:c.permute ())
+
+(* ------------------------------------------------------------------ *)
 (* Incremental counters vs brute-force scan *)
 
 let test_in_flight_counter_matches_scan () =
@@ -214,6 +371,11 @@ let () =
             test_in_flight_counter_matches_scan;
           Alcotest.test_case "400-layer registration and fairness" `Quick
             test_many_components_registration;
+          QCheck_alcotest.to_alcotest prop_step_order_unobservable;
+          Alcotest.test_case "hub batches above 64 are order-independent" `Quick
+            test_large_batch_order_independent;
+          Alcotest.test_case "permuted order reorders the global trace" `Quick
+            test_permute_reorders_trace;
         ] );
       ( "campaign",
         [
